@@ -13,17 +13,12 @@
 #   make bench       compression + artifact micro-benchmarks with allocation
 #                    counts (AppendCompress/DecompressInto must show 0 allocs/op;
 #                    nil-instrumentation obs paths must show 0 allocs/op)
-#   make bench-trend regenerate the current PR's BENCH_PR<n>.json (benchtrend's
-#                    -out/-pr defaults track the latest PR): mix1 and the
-#                    low-MLP microworkload end-to-end on the serial, sharded,
-#                    and event engines plus core micro-benchmarks (slow: ~24
-#                    full simulations), then validate the whole trajectory
 #   make ci          everything
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check lint vet build test smoke fuzz-smoke trace-smoke bench bench-trend ptmcd ci
+.PHONY: check lint vet build test smoke fuzz-smoke trace-smoke bench ptmcd ci
 
 check: vet build test
 
@@ -71,9 +66,5 @@ bench:
 	$(GO) test -run xxx -bench 'AppendCompress|DecompressInto' -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkNil' -benchmem ./internal/obs/
 	$(GO) test -run xxx -bench 'BenchmarkPTMCReadMiss' -benchmem ./internal/memctrl/
-
-bench-trend:
-	$(GO) run ./cmd/benchtrend
-	$(GO) run ./cmd/benchtrend -check 'BENCH_*.json'
 
 ci: check smoke

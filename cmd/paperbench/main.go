@@ -31,8 +31,6 @@ func main() {
 		warmup   = flag.Int64("warmup", 0, "override warmup instructions per core")
 		cores    = flag.Int("cores", 0, "override core count")
 		seed     = flag.Int64("seed", 1, "run seed")
-		shards   = flag.Int("shards", 0, "epoch-engine shards per simulation (0/1 = serial reference loop)")
-		event    = flag.Bool("event", false, "run every simulation on the discrete-event engine (reports identical)")
 		quiet    = flag.Bool("quiet", false, "suppress per-run progress lines")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
 			"max concurrent simulations (output is identical at any value)")
@@ -72,8 +70,6 @@ func main() {
 	}
 	opts.Seed = *seed
 	opts.Silent = *quiet
-	opts.Shards = *shards
-	opts.EventDriven = *event
 
 	r := paper.NewParallelRunner(opts, os.Stdout, *parallel)
 
@@ -136,7 +132,6 @@ func main() {
 		cfg.WarmupInstr = opts.Warmup
 		cfg.MeasureInstr = opts.Measure
 		cfg.Seed = opts.Seed
-		cfg.Shards = opts.Shards
 		if *metricsOut != "" {
 			cfg.MetricsInterval = *metricsIval
 		}

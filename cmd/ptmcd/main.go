@@ -8,7 +8,7 @@
 //	ptmcd -addr 127.0.0.1:8080 -data /var/lib/ptmcd
 //
 // On SIGTERM/SIGINT the daemon drains gracefully: stops accepting (503),
-// cancels in-flight simulations at their next epoch barrier, checkpoints
+// cancels in-flight simulations at their next checkpoint, checkpoints
 // the durable queue, and exits 0. Jobs interrupted mid-run replay on the
 // next boot and complete with byte-identical results.
 //

@@ -53,8 +53,6 @@ func main() {
 		warmup       = flag.Int64("warmup", 200_000, "warmup instructions per core")
 		cores        = flag.Int("cores", 8, "cores")
 		seed         = flag.Int64("seed", 1, "base seed")
-		shards       = flag.Int("shards", 0, "epoch-engine shards (0/1 = serial reference loop)")
-		event        = flag.Bool("event", false, "run every point on the discrete-event engine (results identical)")
 		parallel     = flag.Int("parallel", runtime.GOMAXPROCS(0),
 			"max concurrent simulations (output is identical at any value)")
 		timeout = flag.Duration("timeout", 0,
@@ -84,8 +82,6 @@ func main() {
 	base.WarmupInstr = *warmup
 	base.Cores = *cores
 	base.Seed = *seed
-	base.Shards = *shards
-	base.EventDriven = *event
 
 	var points []point
 	switch *kind {

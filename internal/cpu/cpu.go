@@ -155,8 +155,8 @@ func (c *Core) Stream() workload.Source { return c.stream }
 
 // NextWake returns the earliest CPU cycle > now at which Cycle can change
 // the core's state, or NeverWake if only an external event (a memory
-// completion updating the ROB) can unblock it. The epoch engine uses this
-// to skip cycles no core can use.
+// completion updating the ROB) can unblock it. The simulator's run loop
+// uses this to skip cycles no core can use.
 //
 // The cases mirror Cycle exactly:
 //   - finished core, empty ROB: fully drained, nothing ever happens again;

@@ -133,7 +133,7 @@ type channel struct {
 	// this channel can change its state: the earliest completion, the
 	// earliest cycle a queued request's bank frees up, or the tick after
 	// an enqueue. Between wakes the channel's queues and banks are
-	// provably static, so the epoch engine skips its per-bank scans.
+	// provably static, so engine-mode Tick skips its per-bank scans.
 	wakeAt int64
 }
 
@@ -156,14 +156,14 @@ type DRAM struct {
 	tRAS     int64
 	tBurst   int64
 
-	// O(1) occupancy counters: Tick's empty fast path and the epoch
-	// engine's idle accounting must not scan channels to learn nothing is
+	// O(1) occupancy counters: Tick's empty fast path and the run
+	// loop's idle accounting must not scan channels to learn nothing is
 	// pending.
 	queuedTotal   int // requests sitting in read/write queues
 	inflightTotal int // issued requests awaiting completion
 	emptyQChans   int // channels whose read AND write queues are empty
 
-	// Epoch-engine state (SetEngineMode). lastTick marks the bus cycle
+	// Engine-mode state (SetEngineMode). lastTick marks the bus cycle
 	// currently (or most recently) being processed and tickChanIdx the
 	// channel index the tick loop is at (-1 outside Tick); together they
 	// tell Enqueue whether a new request is still visible to this cycle's
@@ -306,10 +306,10 @@ func (d *DRAM) Enqueue(r *Request, now int64) bool {
 }
 
 // wakeOnEnqueue schedules the channel's next scan after an admit,
-// reproducing the serial loop's visibility rules. Visibility is a property
+// reproducing the per-cycle loop's visibility rules. Visibility is a property
 // of the *program point* of the Enqueue call, never of the request's cycle
 // stamp: the miss path stamps requests with future completion-latency
-// cycles (now > the cycle actually executing), yet the serial loop's
+// cycles (now > the cycle actually executing), yet the per-cycle loop's
 // per-tick scan sees every queued request immediately. So: a request
 // enqueued from inside the tick sweep — a completion callback issuing an
 // eviction or retry — is visible to channels the in-order loop has not
@@ -319,7 +319,7 @@ func (d *DRAM) Enqueue(r *Request, now int64) bool {
 // BusRatio. A bid that lands in the engine's past is harmless — the run
 // loop degrades to serial per-cycle stepping until the wake is consumed —
 // while a bid later than the serial scan would allow is a determinism bug
-// (the channel sleeps through an issue the serial loop performs).
+// (the channel sleeps through an issue the per-cycle loop performs).
 func (d *DRAM) wakeOnEnqueue(c *channel, ch int) {
 	r := int64(d.cfg.BusRatio)
 	var nt int64
@@ -342,12 +342,13 @@ func (d *DRAM) QueueDepth() int {
 	return d.queuedTotal + d.inflightTotal
 }
 
-// SetEngineMode enables the epoch engine's wake bookkeeping: Tick then
-// skips channels whose next possible state change lies in the future, and
-// NextEventCycle/SkippedTicks let the caller skip whole bus cycles. The
-// serial reference path keeps the straightforward scan-every-channel loop;
+// SetEngineMode enables the wake bookkeeping the simulator's run loop
+// relies on: Tick then skips channels whose next possible state change
+// lies in the future, and NextEventCycle/SkippedTicks let the caller skip
+// whole bus cycles. With it off, Tick scans every channel on every call —
+// the reference behavior the package tests check engine mode against;
 // observable behavior (stats, completion order, timing) is identical in
-// both modes — a tested invariant.
+// both modes.
 func (d *DRAM) SetEngineMode(on bool) { d.engine = on }
 
 // Tick advances the model by one memory-bus cycle at CPU cycle now: fires
@@ -402,8 +403,8 @@ func (d *DRAM) Tick(now int64) {
 // hysteresis, then at most one FR-FCFS issue. Completion callbacks may
 // enqueue new requests (eviction writebacks, mispredict retries) onto any
 // channel mid-loop; processing channels strictly in index order is what
-// makes that interleaving deterministic, so the epoch engine reuses this
-// exact routine rather than reordering it across shards. It returns the
+// makes that interleaving deterministic, and both tick modes run this
+// exact routine. It returns the
 // queue the scheduler selected (nil when both were empty) and whether a
 // request issued, which is exactly what reschedule needs to bound the next
 // cycle this channel can make progress.
@@ -540,7 +541,7 @@ func (d *DRAM) NextEventCycle() int64 {
 }
 
 // SkippedTicks credits idle-channel accounting for n whole bus cycles the
-// epoch engine proved eventless and skipped. Queues are static while every
+// run loop proved eventless and skipped. Queues are static while every
 // channel sleeps, so each skipped tick would have counted exactly the
 // channels whose queues are empty — no more, no less.
 func (d *DRAM) SkippedTicks(n int64) {

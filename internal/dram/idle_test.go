@@ -7,8 +7,8 @@ import (
 	"ptmc/internal/mem"
 )
 
-// TestIdleAccountingSerialVsEngine pins the contract behind the epoch
-// engine's cycle skipping: Stats.IdleChannels counts one event per idle
+// TestIdleAccountingSerialVsEngine pins the contract behind the run
+// loop's cycle skipping: Stats.IdleChannels counts one event per idle
 // channel per bus cycle in BOTH execution modes — whether the cycle was
 // actually scanned (serial Tick loop, including its all-empty early exit),
 // individually slept through (engine-mode Tick with a future wakeAt), or
@@ -66,7 +66,7 @@ func TestIdleAccountingSerialVsEngine(t *testing.T) {
 			// Engine driver: jump to the next cycle anything can happen —
 			// a channel wake or a scheduled enqueue — crediting the
 			// skipped bus cycles to the idle accounting, exactly as the
-			// epoch engine does between epochs.
+			// simulator's run loop does.
 			wake := d.NextEventCycle()
 			if ei < len(schedule) && schedule[ei].at < wake {
 				wake = schedule[ei].at
@@ -110,7 +110,7 @@ func TestIdleAccountingSerialVsEngine(t *testing.T) {
 // wake-scheduling bug the full-scale benchmark runs exposed: the miss path
 // stamps requests with future completion-latency cycles, and wakeOnEnqueue
 // used to compute the channel's wake from that stamp — so a sleeping
-// channel slept through bus ticks where the serial loop's per-tick scan
+// channel slept through bus ticks where the per-cycle loop's per-tick scan
 // (which never looks at stamps) would already have issued the request.
 // Visibility is a property of the Enqueue call's program point: a request
 // enqueued between ticks must wake its channel no later than the next
@@ -142,7 +142,7 @@ func TestFutureStampedEnqueueVisibleNextTick(t *testing.T) {
 	}
 
 	// A core-driven enqueue at the current cycle carrying a far-future
-	// latency stamp: the serial loop would scan it at the next executed
+	// latency stamp: the per-cycle loop would scan it at the next executed
 	// tick, so the engine's wake must be no later than that.
 	stamp := now + 40*r // e.g. now + L3 latency and then some
 	req2 := &Request{Addr: 64, OnComplete: func(int64) {}}

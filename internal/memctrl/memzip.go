@@ -26,13 +26,8 @@ type MemZip struct {
 	// line's stored burst length, 1-8. The value does not fit the table's
 	// 2-bit CSI encoding, so it lives here and metadata-cache traffic is
 	// charged through meta.Touch. Array-backed pages keep the eviction hot
-	// path allocation-free and let the epoch engine's first-touch fan-out
-	// record disjoint lines without locks (see beatStore).
+	// path allocation-free (see beatStore).
 	beats beatStore
-	// initScr is per-shard compression scratch for the engine's parallel
-	// first-touch init; indexed by mem.ShardOf, the same key the fan-out
-	// partitions lines by, so no two shards share a buffer.
-	initScr [][]byte
 }
 
 // NewMemZip builds the comparator; metaBase/mcacheBytes configure the
@@ -70,11 +65,11 @@ func beatsOfLen(encLen int) int {
 	return beats
 }
 
-// lineBeats compresses a line's current value into its burst length. The
-// encoding lands in the scratch arena (only its length matters here), so
-// the per-writeback compression allocates nothing.
-func (z *MemZip) lineBeats(a mem.LineAddr) int {
-	enc := z.alg.AppendCompress(z.scr.groupBuf[:0], z.arch.Read(a))
+// dataBeats compresses a line value into its burst length. The encoding
+// lands in the scratch arena (only its length matters here), so the
+// per-writeback compression allocates nothing.
+func (z *MemZip) dataBeats(data []byte) int {
+	enc := z.alg.AppendCompress(z.scr.groupBuf[:0], data)
 	z.scr.groupBuf = enc[:0]
 	return beatsOfLen(len(enc))
 }
@@ -83,35 +78,18 @@ func (z *MemZip) lineBeats(a mem.LineAddr) int {
 // compressed form (MemZip compresses in place; there is no relocation, so
 // no prefetch-pollution concern).
 func (z *MemZip) InitLine(a mem.LineAddr) {
-	z.img.Write(a, z.arch.Read(a))
-	z.beats.set(a, z.lineBeats(a))
+	data := z.arch.Read(a)
+	z.img.Write(a, data)
+	z.beats.set(a, z.dataBeats(data))
 }
 
-// SetupShardInit implements ShardPageIniter: size the per-shard
-// compression scratch the concurrent InitLineReady calls encode into.
-func (z *MemZip) SetupShardInit(shards int) {
-	z.initScr = make([][]byte, shards)
-}
-
-// BeginPageInit implements ShardPageIniter: pre-create the page's beat
-// slots on the coordinating goroutine, so the fan-out's set calls only
-// write disjoint bytes of an existing array.
-func (z *MemZip) BeginPageInit(pageBase mem.LineAddr) {
-	z.beats.page(pageBase)
-}
-
-// InitLineReady implements ShardIniter. A first-touch MemZip line is
+// InitLineReady implements Controller. A first-touch MemZip line is
 // stored compressed in place, but the bytes at its location are the raw
 // value either way — the reduced burst is a bus-protocol effect, not a
-// layout change — so the image the engine synthesized is already correct;
-// all that must be recorded is the line's burst length. That write is
-// race-free under the fan-out: the slot is this line's own byte of a page
-// BeginPageInit created, and the compression scratch is per-shard.
+// layout change — so the image synthesized in place is already correct;
+// all that must be recorded is the line's burst length.
 func (z *MemZip) InitLineReady(a mem.LineAddr, data []byte) bool {
-	sh := mem.ShardOf(a, len(z.initScr))
-	enc := z.alg.AppendCompress(z.initScr[sh][:0], data)
-	z.initScr[sh] = enc[:0]
-	z.beats.set(a, beatsOfLen(len(enc)))
+	z.beats.set(a, z.dataBeats(data))
 	return true
 }
 
@@ -175,7 +153,7 @@ func (z *MemZip) Evict(core_ int, e cache.Entry, now int64) {
 		return
 	}
 	z.img.Write(e.Tag, z.arch.Read(e.Tag))
-	newBeats := z.lineBeats(e.Tag)
+	newBeats := z.dataBeats(z.arch.Read(e.Tag))
 	old := z.beats.get(e.Tag)
 	z.beats.set(e.Tag, newBeats)
 	z.issueBeats(e.Tag, true, newBeats, kDirtyWrite, now, nil)

@@ -42,11 +42,11 @@ func (t *TableTMC) InitLine(a mem.LineAddr) {
 	t.img.Write(a, t.arch.Read(a))
 }
 
-// InitLineReady implements ShardIniter: a first-touch table-TMC line lives
+// InitLineReady implements Controller: a first-touch table-TMC line lives
 // uncompressed at its own address and the cold CSI table already reads as
-// Uncompressed, so the raw bytes the engine synthesized in place are a
-// complete initial image — InitLine's only work is the image write the
-// engine has already performed, and no metadata state moves. Always true.
+// Uncompressed, so the raw bytes synthesized in place are a complete
+// initial image — InitLine's only work is the image write already
+// performed, and no metadata state moves. Always true.
 func (t *TableTMC) InitLineReady(a mem.LineAddr, data []byte) bool { return true }
 
 // chargeMeta issues the DRAM traffic of one metadata-cache transaction and

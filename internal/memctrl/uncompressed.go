@@ -23,7 +23,7 @@ func (u *Uncompressed) InitLine(a mem.LineAddr) {
 	u.img.Write(a, u.arch.Read(a))
 }
 
-// InitLineReady implements ShardIniter: the baseline image is the raw
+// InitLineReady implements Controller: the baseline image is the raw
 // value, so whatever was synthesized in place is already correct.
 // NextLinePrefetch inherits it.
 func (u *Uncompressed) InitLineReady(a mem.LineAddr, data []byte) bool {

@@ -39,17 +39,6 @@ type Options struct {
 	All    []string // Figure 17 population (defaults to every workload+mix)
 	L3MB   int      // LLC size in MB (Table I: 8)
 	Silent bool     // suppress per-run progress lines
-
-	// Shards selects the epoch execution engine for every simulation in
-	// the run (sim.Config.Shards): 0 or 1 = the serial reference loop,
-	// a power of two >= 2 = the sharded engine. Purely a performance
-	// knob — reports are byte-identical at any value.
-	Shards int
-
-	// EventDriven runs every simulation on the discrete-event engine
-	// (sim.Config.EventDriven). Like Shards, purely a performance knob:
-	// reports are byte-identical either way.
-	EventDriven bool
 }
 
 // Quick returns a laptop-scale option set: representative workloads and a
@@ -192,8 +181,6 @@ func (r *Runner) config(wl, scheme string) sim.Config {
 	cfg.WarmupInstr = r.Opts.Warmup
 	cfg.MeasureInstr = r.Opts.Measure
 	cfg.Seed = r.Opts.Seed
-	cfg.Shards = r.Opts.Shards
-	cfg.EventDriven = r.Opts.EventDriven
 	if r.Opts.L3MB > 0 {
 		cfg.L3Bytes = r.Opts.L3MB << 20
 	}

@@ -39,12 +39,6 @@ type JobSpec struct {
 	Warmup   int64    `json:"warmup_instr,omitempty"`
 	Measure  int64    `json:"measure_instr,omitempty"`
 	Seed     int64    `json:"seed,omitempty"`
-	Shards   int      `json:"shards,omitempty"`
-	// EventDriven runs each scheme's simulation on the discrete-event
-	// engine (sim.Config.EventDriven). Purely a performance knob — results
-	// are byte-identical to the serial loop — but part of the job key so
-	// an engine-mode comparison can be expressed as two distinct jobs.
-	EventDriven bool `json:"event_driven,omitempty"`
 	// TimeoutSec bounds each scheme's simulation (0 = server default).
 	TimeoutSec int `json:"timeout_sec,omitempty"`
 	// Tenant attributes the job for quota accounting ("" = "default").
@@ -134,8 +128,6 @@ func (s *JobSpec) Config(scheme string) sim.Config {
 	cfg.WarmupInstr = s.Warmup
 	cfg.MeasureInstr = s.Measure
 	cfg.Seed = s.Seed
-	cfg.Shards = s.Shards
-	cfg.EventDriven = s.EventDriven
 	cfg.Trace = s.Trace
 	return cfg
 }
@@ -148,9 +140,15 @@ func (s *JobSpec) Config(scheme string) sim.Config {
 // result; that is what makes repeated sweeps across restarts free.
 // Priority deliberately does not participate (scheduling metadata); Trace
 // does (a traced run is a different artifact).
+//
+// The literal "sh0|evfalse" segment is what the removed engine knobs
+// (shards, event_driven) contributed at their defaults. It stays frozen so
+// every key a store computed before their removal — and every result
+// artifact filed under one — is still the key of the same spec: an upgrade
+// neither re-simulates nor orphans anything.
 func (s *JobSpec) Key() string {
-	variant := fmt.Sprintf("c%d|w%d|m%d|s%d|sh%d|ev%t|t%d|tr%t",
-		s.Cores, s.Warmup, s.Measure, s.Seed, s.Shards, s.EventDriven, s.TimeoutSec, s.Trace)
+	variant := fmt.Sprintf("c%d|w%d|m%d|s%d|sh0|evfalse|t%d|tr%t",
+		s.Cores, s.Warmup, s.Measure, s.Seed, s.TimeoutSec, s.Trace)
 	h := sha256.Sum256([]byte(s.Workload + "|" + strings.Join(s.Schemes, ",") + "|" + variant))
 	return "j" + hex.EncodeToString(h[:8])
 }
@@ -158,10 +156,11 @@ func (s *JobSpec) Key() string {
 // SchemeKey is the per-scheme singleflight key used to deduplicate the
 // actual simulations across concurrently-running jobs (two jobs sharing a
 // (workload, scheme, variant) point run it once). Tenant and scheme-matrix
-// membership deliberately do not participate.
+// membership deliberately do not participate. "sh0|evfalse" is frozen for
+// the same reason as in Key.
 func (s *JobSpec) SchemeKey(scheme string) string {
-	return fmt.Sprintf("%s|%s|c%d|w%d|m%d|s%d|sh%d|ev%t|tr%t",
-		s.Workload, scheme, s.Cores, s.Warmup, s.Measure, s.Seed, s.Shards, s.EventDriven, s.Trace)
+	return fmt.Sprintf("%s|%s|c%d|w%d|m%d|s%d|sh0|evfalse|tr%t",
+		s.Workload, scheme, s.Cores, s.Warmup, s.Measure, s.Seed, s.Trace)
 }
 
 // Job states. The daemon's crash-recovery state machine (DESIGN.md) allows

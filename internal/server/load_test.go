@@ -179,7 +179,7 @@ func TestLoadKillRestart(t *testing.T) {
 		key := (&JobSpec{
 			Workload: c.Workload, Schemes: []string{c.Scheme},
 			Cores: c.Cores, Warmup: c.WarmupInstr, Measure: c.MeasureInstr,
-			Seed: c.Seed, Shards: c.Shards, Tenant: "default", Trace: c.Trace,
+			Seed: c.Seed, Tenant: "default", Trace: c.Trace,
 		}).Key()
 		if preDone[key] {
 			t.Errorf("point %s/%s/%d re-simulated despite a surviving artifact",

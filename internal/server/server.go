@@ -383,7 +383,7 @@ func (s *Server) saveTrace(id string, events []obs.Event) {
 // job stays accepted in the WAL and the next boot replays it.
 func (s *Server) settleFailure(j *job, scheme string, err error) {
 	if s.baseCtx.Err() != nil {
-		// Drain (or shutdown) cancelled the run at its next epoch barrier.
+		// Drain (or shutdown) cancelled the run at its next checkpoint.
 		j.emit("canceled", fmt.Sprintf("%s interrupted by drain; job will replay", scheme))
 		return
 	}
@@ -537,7 +537,7 @@ func (s *Server) buildSweepArtifact(sw *sweep) SweepArtifact {
 
 // Drain is the graceful-shutdown path: stop accepting (readyz and POST
 // /jobs flip to 503), cancel in-flight runs — sim.RunContext returns at
-// its next epoch barrier / cycle checkpoint — wait for the workers (and
+// its next checkpoint — wait for the workers (and
 // sweep coordinators and requeue timers), checkpoint the queue, and close
 // the store. Interrupted jobs stay accepted in the WAL; the next boot
 // replays them. Returns nil on a clean drain; ctx bounds how long to wait

@@ -26,6 +26,11 @@ func Schemes() []string {
 		SchemeTableTMC, SchemeMemZip, SchemePTMC, SchemeDynamicPTMC}
 }
 
+// MaxCores is the largest core count a Config may ask for: cache entries
+// record their owning core in a uint8 (cache.Entry.Core), so core 256 would
+// alias core 0 and Dynamic-PTMC would charge its costs to the wrong core.
+const MaxCores = 256
+
 // Config describes one simulation (defaults reproduce Table I).
 type Config struct {
 	Workload string // workload or mix name
@@ -56,29 +61,6 @@ type Config struct {
 	SampleFrac   float64
 	PerCoreDyn   bool
 	LITMode      core.LITMode
-
-	// Shards selects the execution engine for one simulation's hot loop.
-	// 0 or 1 runs the reference serial cycle loop; a power of two >= 2 runs
-	// the epoch engine, which skips provably eventless cycles and spreads
-	// page initialization and deferred fill verification across that many
-	// shard workers (real goroutines only when GOMAXPROCS > 1; inline
-	// otherwise). Every scheme takes the engine fast paths. Results are
-	// byte-identical at every value — a tested invariant — so Shards is
-	// purely a performance knob.
-	Shards int
-
-	// EventDriven replaces the run loop with the discrete-event engine
-	// (internal/sim/event.go): cores, the memory controller, and the
-	// metrics snapshotter register next-wake cycles into an event queue
-	// and the scheduler jumps straight to the earliest one, so idle spans
-	// on low-MLP workloads cost nothing instead of a full core sweep per
-	// cycle. Composes with Shards (the epoch engine keeps the page-init
-	// fan-out and deferred verification; the event queue takes over the
-	// loop). Results are byte-identical to the serial reference loop at
-	// every setting — a tested invariant — so this is purely a
-	// performance knob. Default off: the serial loop stays the golden
-	// reference.
-	EventDriven bool
 
 	// Horizon (per core, instructions).
 	WarmupInstr  int64
@@ -135,12 +117,12 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("sim: no workload selected")
 	case c.Cores <= 0:
 		return fmt.Errorf("sim: cores must be positive")
+	case c.Cores > MaxCores:
+		return fmt.Errorf("sim: cores must be at most %d, got %d", MaxCores, c.Cores)
 	case c.MeasureInstr <= 0:
 		return fmt.Errorf("sim: MeasureInstr must be positive")
 	case c.CPUFreqGHz <= 0:
 		return fmt.Errorf("sim: CPU frequency must be positive")
-	case c.Shards < 0 || c.Shards > 256 || (c.Shards > 1 && c.Shards&(c.Shards-1) != 0):
-		return fmt.Errorf("sim: Shards must be 0, 1, or a power of two <= 256, got %d", c.Shards)
 	}
 	ok := false
 	for _, s := range Schemes() {

@@ -48,8 +48,19 @@ type Simulator struct {
 	ctrl    memctrl.Controller
 	obs     prefetchObserver
 	mshr    map[mem.LineAddr][]waiter
-	eng     *shardEngine // non-nil when cfg.Shards >= 2 (epoch engine)
-	evq     *eventSched  // non-nil when cfg.EventDriven (discrete-event engine)
+
+	// First-touch state. fills[c] synthesizes core c's initial line values
+	// (FillLineInit when the source has it, else FillLine); origins records
+	// which core's virtual page each lazily-initialized architectural page
+	// came from (see archLine).
+	fills   []func(vline uint64, buf []byte)
+	origins map[mem.LineAddr]pageOrigin
+
+	// Test hooks, nil outside the package tests: they swap in the
+	// per-cycle reference loop and the eager first-touch init that the
+	// engine is checked against byte for byte (oracle_test.go).
+	loopHook func(ctx context.Context, limit, maxCycles int64) error
+	initHook func(coreID int, pageBase mem.LineAddr, vlineBase uint64)
 
 	now         int64
 	windowStart int64
@@ -67,6 +78,19 @@ type Simulator struct {
 	// Measured-window counters.
 	demandAccesses uint64
 	pageInits      uint64
+}
+
+// pageOrigin identifies which stream's virtual page a physical page was
+// allocated for: what archLine needs to synthesize its lines.
+type pageOrigin struct {
+	core      int32
+	vlineBase uint64
+}
+
+// fillIniter is the first-touch specialization of workload.Source.FillLine
+// (mutation count provably zero, version lookup skipped).
+type fillIniter interface {
+	FillLineInit(vline uint64, buf []byte)
 }
 
 // tlbEntry caches one vpage translation per core (performance only; the
@@ -108,7 +132,8 @@ func New(cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Simulator{cfg: cfg, mshr: make(map[mem.LineAddr][]waiter)}
+	s := &Simulator{cfg: cfg, mshr: make(map[mem.LineAddr][]waiter),
+		origins: make(map[mem.LineAddr]pageOrigin)}
 
 	// Workload streams: rate mode (one workload, all cores), a mix, or
 	// caller-provided sources (trace replay).
@@ -154,6 +179,13 @@ func New(cfg Config) (*Simulator, error) {
 			s.streams = append(s.streams, w.NewStream(cfg.Seed*1000+int64(i)))
 		}
 	}
+	for _, src := range s.streams {
+		fill := src.FillLine
+		if fi, ok := src.(fillIniter); ok {
+			fill = fi.FillLineInit
+		}
+		s.fills = append(s.fills, fill)
+	}
 
 	// Memory system. The metadata-table reservation (2 bits per line) is
 	// carved out under every scheme so physical page placement — and
@@ -165,12 +197,14 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	s.vmsys = vmsys
 	s.arch = mem.NewStore()
+	s.arch.SetLazyFill(s.archLine)
 	s.img = mem.NewStore()
 
 	d, err := dram.New(cfg.DRAM)
 	if err != nil {
 		return nil, err
 	}
+	d.SetEngineMode(true) // O(1) wake schedule for the run loop's skipping
 
 	// Caches.
 	mk := func(size, assoc int) (*cache.Cache, error) {
@@ -233,21 +267,6 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	s.obs, _ = s.ctrl.(prefetchObserver)
 
-	// Epoch engine (Config.Shards >= 2): cycle skipping plus sharded page
-	// init and deferred verification. Shards <= 1 keeps the reference
-	// serial loop untouched.
-	if cfg.Shards >= 2 {
-		s.eng = newShardEngine(s, cfg.Shards)
-	}
-	// Discrete-event engine (Config.EventDriven): replaces the run loop
-	// with runEvent. Composes with the epoch engine — page-init fan-out
-	// and the verify sink stay with shardEngine; only the loop changes.
-	// The DRAM model needs engine mode for its O(1) wake schedule; the
-	// epoch engine already enabled it when present.
-	if cfg.EventDriven && s.eng == nil {
-		s.ctrl.DRAM().SetEngineMode(true)
-	}
-
 	// Observability wiring. The tracer attaches to the controller (every
 	// scheme embeds memctrl's base, which implements SetTracer) and, for
 	// Dynamic-PTMC, to the policy's flip hook; the registry wraps the live
@@ -278,9 +297,6 @@ func New(cfg Config) (*Simulator, error) {
 		s.cores = append(s.cores, cpu.New(i, cfg.Core, s.streams[i], s.access))
 	}
 	s.tlb = make([]tlbEntry, cfg.Cores*tlbSize)
-	if cfg.EventDriven {
-		s.evq = newEventSched(s) // needs cores + controller assembled
-	}
 	return s, nil
 }
 
@@ -365,8 +381,8 @@ func (s *Simulator) backInvalidate(a mem.LineAddr) {
 	}
 }
 
-// translate maps and, on first touch of a page, synthesizes its contents
-// into the architectural store and the scheme's memory image.
+// translate maps and, on first touch of a page, initializes its contents
+// in the architectural store and the scheme's memory image.
 func (s *Simulator) translate(coreID int, vaddr uint64) (mem.LineAddr, bool) {
 	vpage := vaddr >> vm.PageShift
 	lineInPage := (vaddr >> 6) & (vm.PageLines - 1)
@@ -384,18 +400,53 @@ func (s *Simulator) translate(coreID int, vaddr uint64) (mem.LineAddr, bool) {
 		s.pageInits++
 		pageBase := paddr &^ (vm.PageLines - 1)
 		vlineBase := (vaddr >> 6) &^ (vm.PageLines - 1)
-		if s.eng != nil && s.eng.initer != nil {
-			s.eng.initPage(coreID, pageBase, vlineBase)
+		if s.initHook != nil {
+			s.initHook(coreID, pageBase, vlineBase)
 		} else {
-			buf := make([]byte, mem.LineSize)
-			for i := uint64(0); i < vm.PageLines; i++ {
-				s.streams[coreID].FillLine(vlineBase+i, buf)
-				s.arch.Write(pageBase+mem.LineAddr(i), buf)
-				s.ctrl.InitLine(pageBase + mem.LineAddr(i))
-			}
+			s.initPage(coreID, pageBase, vlineBase)
 		}
 	}
 	return paddr, true
+}
+
+// initPage is first-touch page initialization. Each line is synthesized
+// straight into the DRAM image and accepted there as-is when the controller
+// allows (InitLineReady); the architectural page is only registered for
+// on-demand synthesis (archLine), so lines never read back never pay for
+// it. Lines the controller cannot accept raw (PTMC marker collisions) go
+// through the full InitLine path once the rest of the page is written, in
+// ascending address order — the order the eager reference path handles
+// them in.
+func (s *Simulator) initPage(coreID int, pageBase mem.LineAddr, vlineBase uint64) {
+	s.origins[pageBase] = pageOrigin{core: int32(coreID), vlineBase: vlineBase}
+	s.arch.MarkLazy(pageBase)
+	img := s.img.Slab(pageBase)
+	fill := s.fills[coreID]
+	var collide []mem.LineAddr // rare: allocates only when a line collides
+	for i := 0; i < vm.PageLines; i++ {
+		a := pageBase + mem.LineAddr(i)
+		line := img.Line(i)
+		fill(vlineBase+uint64(i), line)
+		if !s.ctrl.InitLineReady(a, line) {
+			// The raw bytes stay in the image only until InitLine below
+			// rewrites them; nothing reads memory in between.
+			collide = append(collide, a)
+		}
+	}
+	for _, a := range collide {
+		s.ctrl.InitLine(a)
+	}
+}
+
+// archLine is the architectural store's lazy-fill callback: it synthesizes
+// one line of a page registered by initPage. The line's initial value is
+// the right one because the store synthesizes a line only if it was never
+// written, and every MutateLine of a stream is paired with an arch.Write of
+// the same line, so a never-written line was never mutated.
+func (s *Simulator) archLine(a mem.LineAddr, buf []byte) {
+	base := a &^ (mem.SlabLines - 1)
+	o := s.origins[base]
+	s.fills[o.core](o.vlineBase+uint64(a-base), buf)
 }
 
 // access is the hierarchy walk each memory instruction performs.
@@ -496,31 +547,38 @@ func (s *Simulator) fillDone(coreID int, paddr mem.LineAddr, c int64) {
 	for _, w := range waiters {
 		w.done(end)
 	}
-	if s.evq != nil {
-		// The event engine caches per-core wakes; every ROB this fill just
-		// wrote must be re-registered after the delivering controller tick.
-		for _, w := range waiters {
-			s.evq.markDirty(w.coreID)
-		}
-	}
 }
 
 // run advances the system until every core retires `limit` instructions
-// (from its current window), maxCycles elapse, or ctx is cancelled. The
-// context is polled every 4096 loop iterations — cheap enough to be
+// (from its current window), maxCycles elapse, or ctx is cancelled. Each
+// iteration executes one cycle with the reference per-cycle work order —
+// cores, then the controller on bus multiples, then metrics snapshots —
+// after jumping over every cycle in which provably nothing can happen:
+// the next cycle executed is the earliest of every core's NextWake, the
+// controller's NextEventCycle, the next metrics boundary and the deadline.
+// Wakes are recomputed each iteration and nothing is cached, so no
+// component has to report when its wake moves. A core whose wake lies
+// beyond the cycle being executed provably no-ops, so its Cycle call is
+// skipped (fill completions can only move a wake at a controller tick,
+// which runs after the cores within a cycle). Every skipped bus tick is
+// credited to the controller's per-tick accounting (SkippedTicks) exactly
+// as the per-cycle loop would have counted it, which keeps results
+// byte-identical to it (the tested invariant, oracle_test.go).
+//
+// The context is polled every 4096 iterations — cheap enough to be
 // invisible, and what lets a per-point timeout (cmd/sweep -timeout,
-// exec.JobOptions) actually interrupt a pathological simulation instead
-// of hanging a worker forever. The poll is iteration-counted, not keyed
-// on s.now & 4095: the serial loop executes every cycle so the cadence is
-// the same, but keying on the clock would alias in any engine that skips
-// cycles (a jump can step over every multiple of 4096), and all three run
-// loops share one polling convention.
+// exec.JobOptions) interrupt a pathological simulation instead of hanging
+// a worker forever. The poll counts iterations, not cycles: a jump can
+// step over every multiple of 4096. Jumps are clamped at the deadline so
+// the maxCycles error reports the same cycle the per-cycle loop would.
 func (s *Simulator) run(ctx context.Context, limit, maxCycles int64) error {
 	for i := range s.cores {
 		s.cores[i].ResetWindow(limit)
 	}
 	s.windowStart = s.now
 	deadline := s.now + maxCycles
+	busRatio := int64(s.cfg.DRAM.BusRatio)
+	wakes := make([]int64, len(s.cores))
 	for iter := 0; ; iter++ {
 		allDone := true
 		for _, c := range s.cores {
@@ -540,11 +598,46 @@ func (s *Simulator) run(ctx context.Context, limit, maxCycles int64) error {
 		if iter&4095 == 0 && ctx.Err() != nil {
 			return fmt.Errorf("sim: interrupted at cycle %d: %w", s.now, ctx.Err())
 		}
-		s.now++
-		for _, c := range s.cores {
-			c.Cycle(s.now)
+
+		// Core wakes first (cheap, usually now+1), then the controller
+		// schedule only when every core sleeps. A stale controller wake in
+		// the past floors the jump at now+1.
+		wake := int64(cpu.NeverWake)
+		for i, c := range s.cores {
+			w := c.NextWake(s.now)
+			wakes[i] = w
+			if w < wake {
+				wake = w
+			}
 		}
-		if s.now%int64(s.cfg.DRAM.BusRatio) == 0 {
+		if wake > s.now+1 {
+			if w := s.ctrl.NextEventCycle(s.now); w < wake {
+				wake = w
+			}
+		}
+		if s.reg != nil {
+			if nb := (s.now/s.cfg.MetricsInterval + 1) * s.cfg.MetricsInterval; nb < wake {
+				wake = nb
+			}
+		}
+		if wake > deadline {
+			wake = deadline // execute the deadline cycle, then error above
+		}
+		if wake > s.now+1 {
+			// Skip cycles (s.now, wake): no core can act, and every bus
+			// tick in the span would only scan sleeping channels.
+			if n := (wake-1)/busRatio - s.now/busRatio; n > 0 {
+				s.ctrl.SkippedTicks(n)
+			}
+			s.now = wake - 1
+		}
+		s.now++
+		for i, c := range s.cores {
+			if wakes[i] <= s.now {
+				c.Cycle(s.now)
+			}
+		}
+		if s.now%busRatio == 0 {
 			s.ctrl.Tick(s.now)
 		}
 		if s.reg != nil && s.now%s.cfg.MetricsInterval == 0 {
@@ -588,16 +681,8 @@ func (s *Simulator) Run() (*Result, error) {
 func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 	const cyclesPerInstr = 400 // generous safety budget
 	runFn := s.run
-	switch {
-	case s.evq != nil:
-		// Discrete-event loop; the epoch engine, when also configured,
-		// keeps contributing page-init fan-out and the verify sink.
-		runFn = s.runEvent
-	case s.eng != nil:
-		runFn = s.runSharded
-	}
-	if s.eng != nil {
-		defer s.eng.stop()
+	if s.loopHook != nil {
+		runFn = s.loopHook
 	}
 	if s.cfg.WarmupInstr > 0 {
 		if err := runFn(ctx, s.cfg.WarmupInstr, s.cfg.WarmupInstr*cyclesPerInstr+10_000_000); err != nil {

@@ -38,6 +38,18 @@ func TestConfigValidate(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Error("unknown scheme should fail")
 	}
+	// Cache entries record their core in a uint8, so a 257th core would
+	// alias core 0 and Dynamic-PTMC would charge its costs to the wrong core.
+	cfg = Default()
+	cfg.Workload = "mcf06"
+	cfg.Cores = MaxCores
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("%d cores rejected: %v", MaxCores, err)
+	}
+	cfg.Cores = MaxCores + 1
+	if err := cfg.Validate(); err == nil {
+		t.Errorf("%d cores accepted", MaxCores+1)
+	}
 	cfg = Default()
 	cfg.Workload = "nope"
 	if _, err := New(cfg); err == nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"ptmc/internal/trace"
@@ -9,8 +10,10 @@ import (
 )
 
 // TestTraceReplayThroughSimulator records a workload's access stream, then
-// replays it through the full simulator: the replay must be deterministic
-// and integrity-clean under PTMC.
+// replays it through the full simulator: the replay must be deterministic,
+// integrity-clean under PTMC, and identical on the engine and the oracle.
+// A replay source has no FillLineInit, so this also covers the engine's
+// lazy first-touch synthesis through plain FillLine.
 func TestTraceReplayThroughSimulator(t *testing.T) {
 	wl, err := workload.Lookup("libquantum06")
 	if err != nil {
@@ -30,7 +33,7 @@ func TestTraceReplayThroughSimulator(t *testing.T) {
 	}
 	data := buf.Bytes()
 
-	run := func() *Result {
+	run := func(oracle bool) *Result {
 		cfg := Default()
 		cfg.Workload = "trace-test"
 		cfg.Scheme = SchemePTMC
@@ -52,14 +55,10 @@ func TestTraceReplayThroughSimulator(t *testing.T) {
 			}
 			return rep, nil
 		}
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return runEither(t, cfg, oracle)
 	}
 
-	r1, r2 := run(), run()
+	r1, r2 := run(false), run(false)
 	if r1.Mem.IntegrityErrs != 0 {
 		t.Fatalf("integrity errors: %d", r1.Mem.IntegrityErrs)
 	}
@@ -68,5 +67,8 @@ func TestTraceReplayThroughSimulator(t *testing.T) {
 	}
 	if r1.DRAM.Reads == 0 {
 		t.Error("replay produced no memory traffic")
+	}
+	if ref := run(true); !reflect.DeepEqual(ref, r1) {
+		t.Errorf("replay diverges between oracle and engine:\n%s\nvs\n%s", ref, r1)
 	}
 }

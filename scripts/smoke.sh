@@ -44,28 +44,12 @@ go run ./cmd/obscheck -trace "$out.trace" -metrics "$out.metrics"
 rm -f "$out.metrics" "$out.trace"
 echo "smoke: observability artifacts valid"
 
-# Determinism stage: the epoch engine must stay byte-identical to the
-# serial loop for every scheme, and under the race detector so any
-# cross-shard ordering leak in the first-touch init fan-out is caught, not
-# just its numeric consequences.
-go test -race -run 'TestShardDeterminism' ./internal/sim/ > /dev/null
-echo "smoke: all-scheme shard determinism clean under -race"
-
-# Event-engine determinism stage: the discrete-event engine must stay
-# byte-identical to the serial per-cycle loop for every scheme, alone and
-# composed with sharding (event on/off x shards 0/2/4/8, run twice), under
-# the race detector so the epoch fan-out it composes with stays clean.
-go test -race -run 'TestEventDeterminism' ./internal/sim/ > /dev/null
-echo "smoke: all-scheme event-engine determinism clean under -race"
-
-# Bench stage: the committed benchmark-trajectory artifacts must parse,
-# carry every required series (wall/ at >=2 shard counts, speedup/,
-# micro/), and advance the PR trajectory in order (ordered by recorded PR,
-# so the glob picks up every future artifact automatically). This validates
-# schema presence only — a slower number is a conversation, a missing
-# series is a regression.
-go run ./cmd/benchtrend -check 'BENCH_*.json'
-echo "smoke: benchmark trajectory artifacts valid"
+# Determinism stage: the engine (cycle-skipping loop, lazy in-place
+# first-touch init) must stay byte-identical to the per-cycle test oracle
+# for every scheme and for mix1, each run twice, metrics snapshots
+# included — under the race detector.
+go test -race -count=1 -run 'TestDeterminismMatrix' ./internal/sim/ > /dev/null
+echo "smoke: all-scheme engine-vs-oracle determinism clean under -race"
 
 # Chaos stage: the durable job queue's full campaign — 200 randomized
 # crash / torn-write / cancellation trials, each adjudicated
