@@ -1,6 +1,7 @@
 # Tier-1 verification plus the race detector and the paperbench smoke.
 #
-#   make check       vet + build + race-enabled tests (the pre-commit gate)
+#   make check       vet (root and perfbench/) + build + race-enabled tests
+#                    (the pre-commit gate)
 #   make lint        go vet plus staticcheck when installed, else a gofmt -l
 #                    formatting gate (no new tool dependencies)
 #   make smoke       regenerate the quick paperbench report and diff against
@@ -22,8 +23,12 @@ FUZZTIME ?= 10s
 
 check: vet build test
 
+# vet also covers perfbench/, a separate module that builds against this
+# tree through its replace directive, so a root API change that breaks the
+# benchmark fails here rather than in a benchmark run.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 # lint prefers staticcheck when the host has it; otherwise it degrades to
 # the formatting gate every Go install ships with. Either way it is a

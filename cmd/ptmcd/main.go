@@ -68,13 +68,11 @@ func serve(args []string) error {
 		addr     = fs.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 		addrFile = fs.String("addr-file", "", "write the bound address to this file (for scripts with -addr :0)")
 		dir      = fs.String("data", "ptmcd-data", "durable job-store directory (WAL + results)")
-		workers  = fs.Int("workers", 1, "concurrent jobs")
-		parallel = fs.Int("parallel", 0, "scheme-simulation pool size (0 = GOMAXPROCS)")
+		workers  = fs.Int("workers", 1, "concurrent jobs, and so concurrent simulations")
 		queue    = fs.Int("queue", 64, "max queued jobs before 503")
 		quota    = fs.Int("tenant-quota", 0, "max queued+running jobs per tenant (0 = unlimited)")
 		timeout  = fs.Duration("job-timeout", 0, "default per-scheme deadline (0 = none)")
-		retries  = fs.Int("retries", 1, "attempts per scheme for retryable failures")
-		backoff  = fs.Duration("backoff", 100*time.Millisecond, "base jittered retry backoff")
+		backoff  = fs.Duration("backoff", 100*time.Millisecond, "base requeue backoff after a transient store-write failure")
 		segBytes = fs.Int64("wal-segment", 0, "WAL segment rotation threshold in bytes (0 = default 4MiB)")
 		drainT   = fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight jobs on shutdown")
 		pprof    = fs.String("pprof", "", "serve net/http/pprof on this address")
@@ -92,11 +90,9 @@ func serve(args []string) error {
 	srv, err := server.New(server.Config{
 		Dir:          *dir,
 		Workers:      *workers,
-		Parallel:     *parallel,
 		QueueCap:     *queue,
 		TenantQuota:  *quota,
 		JobTimeout:   *timeout,
-		Retries:      *retries,
 		Backoff:      *backoff,
 		SegmentBytes: *segBytes,
 	})

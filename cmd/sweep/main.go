@@ -140,13 +140,7 @@ func main() {
 		wg.Add(1)
 		go func(i int, p point) {
 			defer wg.Done()
-			if err := pool.Run(context.Background(), func() error {
-				ctx := context.Background()
-				if *timeout > 0 {
-					var cancel context.CancelFunc
-					ctx, cancel = context.WithTimeout(ctx, *timeout)
-					defer cancel()
-				}
+			if err := pool.Run(context.Background(), *timeout, func(ctx context.Context) error {
 				cfg := base
 				p.mutate(&cfg)
 				if *metricsOut != "" {

@@ -1,18 +1,21 @@
 // Package exec is the concurrent experiment engine shared by the paper
-// harness and the CLI tools. It provides three pieces:
+// harness, the CLI tools and the daemon. It provides three pieces:
 //
 //   - Pool: a bounded worker pool (default size GOMAXPROCS) that caps how
-//     many simulations run at once, however many goroutines submit work;
+//     many simulations run at once, however many goroutines submit work.
+//     Pool.Run is the one job envelope: slot, optional deadline, panic
+//     conversion and run-time accounting;
 //   - Cache: a singleflight-deduplicated, mutex-guarded memoization table,
 //     so concurrent requests for the same key execute the computation
-//     exactly once and everyone shares the result;
+//     exactly once (through Pool.Run) and everyone shares the result;
 //   - Pool.ForEach: a deterministic fan-out helper that runs an indexed
 //     job set over the pool and cancels the remainder on first error.
 //
 // The simulations themselves are embarrassingly parallel (every sim.Run
 // builds its own memory image, caches, and seeded streams), so the engine
 // only has to bound concurrency and deduplicate shared runs — it never
-// needs to synchronize inside a simulation.
+// needs to synchronize inside a simulation. They are also deterministic,
+// so the engine never retries: a failed job fails the same way again.
 //
 // The engine is panic-safe: a job that panics is converted into a
 // *PanicError carrying the panic value and stack, its worker slot is
@@ -25,7 +28,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -46,69 +48,11 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("exec: job panicked: %v", e.Value)
 }
 
-// RetryableError marks an error as transient: jobs run with
-// JobOptions.Attempts > 1 retry when they return one. Wrap with Retryable,
-// test with IsRetryable; errors.Is/As unwrap through it.
-type RetryableError struct{ Err error }
-
-func (e *RetryableError) Error() string { return e.Err.Error() }
-func (e *RetryableError) Unwrap() error { return e.Err }
-
-// Retryable wraps err so that retry-enabled jobs re-run it. A nil err
-// returns nil.
-func Retryable(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &RetryableError{Err: err}
-}
-
-// IsRetryable reports whether err is (or wraps) a RetryableError.
-func IsRetryable(err error) bool {
-	var re *RetryableError
-	return errors.As(err, &re)
-}
-
-// JobOptions bounds one job's execution. The zero value means: no
-// timeout, a single attempt, no backoff.
-type JobOptions struct {
-	// Timeout, when positive, is the per-attempt deadline: the job's
-	// context is cancelled after this duration. Jobs must honor their
-	// context for the deadline to take effect (sim.RunContext does).
-	Timeout time.Duration
-	// Attempts is the total number of tries for a job whose error is
-	// retryable (IsRetryable). Values below 1 mean one attempt.
-	Attempts int
-	// Backoff is the base wait before the first retry; it doubles on each
-	// subsequent retry. The actual sleep is jittered — a uniformly random
-	// duration in [Backoff/2, Backoff) — so a burst of jobs that failed
-	// together (a shared dependency hiccup, a drained resource) does not
-	// retry in lockstep. The waiting job holds its pool slot (retries are
-	// expected to be rare and short), but the sleep is context-aware: a
-	// cancelled job abandons the backoff immediately, so a draining
-	// service is never blocked behind a sleeping retry.
-	Backoff time.Duration
-}
-
-// jitter maps a base backoff to the jittered sleep: uniform in
-// [d/2, d). Equal-jitter keeps the expected wait at 3/4 d while spreading
-// simultaneous retriers across half the window. The rand source is a
-// package variable only so tests can pin it.
-var jitterInt63n = rand.Int63n
-
-func jitter(d time.Duration) time.Duration {
-	if d <= 1 {
-		return d
-	}
-	half := d / 2
-	return half + time.Duration(jitterInt63n(int64(half)))
-}
-
 // Pool bounds the number of jobs executing concurrently. The zero Pool is
 // not usable; construct with NewPool.
 //
 // Every pool keeps two log-bucketed histograms — nanoseconds a job waited
-// for a slot, and nanoseconds each attempt ran — as its scheduling health
+// for a slot, and nanoseconds each job ran — as its scheduling health
 // signal: a queue-wait p99 near the run-time p50 means the pool is the
 // bottleneck, not the simulations. The histograms are atomic counters, so
 // the accounting adds two clock reads per job to work that is a whole
@@ -117,8 +61,7 @@ type Pool struct {
 	sem chan struct{}
 
 	queueWait *obs.Histogram // ns blocked waiting for a worker slot
-	runTime   *obs.Histogram // ns executing, one observation per attempt
-	tr        *obs.Tracer    // optional: one KindJob span per attempt
+	runTime   *obs.Histogram // ns executing, one observation per job
 }
 
 // NewPool returns a pool running at most n jobs at once; n <= 0 selects
@@ -140,12 +83,8 @@ func (p *Pool) Size() int { return cap(p.sem) }
 // QueueWait exposes the slot-wait histogram (nanoseconds per job).
 func (p *Pool) QueueWait() *obs.Histogram { return p.queueWait }
 
-// RunTime exposes the execution-time histogram (nanoseconds per attempt).
+// RunTime exposes the execution-time histogram (nanoseconds per job).
 func (p *Pool) RunTime() *obs.Histogram { return p.runTime }
-
-// SetTracer attaches a tracer that receives one job span (wall-clock
-// microseconds) per attempt; nil detaches.
-func (p *Pool) SetTracer(t *obs.Tracer) { p.tr = t }
 
 // acquire blocks until a worker slot frees up or ctx is cancelled.
 func (p *Pool) acquire(ctx context.Context) error {
@@ -161,111 +100,45 @@ func (p *Pool) acquire(ctx context.Context) error {
 
 func (p *Pool) release() { <-p.sem }
 
-// safeCall invokes fn, converting a panic into a *PanicError.
-func safeCall(fn func() error) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Value: v, Stack: debug.Stack()}
-		}
-	}()
-	return fn()
-}
-
 // Run executes fn on the pool, blocking until a slot is free. It returns
 // ctx's error without running fn if the context is cancelled first. A
-// panic in fn is returned as a *PanicError; the slot is always released.
-func (p *Pool) Run(ctx context.Context, fn func() error) error {
+// positive timeout is fn's deadline: fn's context is cancelled after that
+// duration, so fn must honor its context for the deadline to take effect
+// (sim.RunContext does). A panic in fn is returned as a *PanicError; the
+// slot is always released.
+func (p *Pool) Run(ctx context.Context, timeout time.Duration, fn func(ctx context.Context) error) error {
 	if err := p.acquire(ctx); err != nil {
 		return err
 	}
 	defer p.release()
-	return p.callOnce(ctx, 0, func(context.Context) error { return fn() })
+	return p.call(ctx, timeout, fn)
 }
 
-// RunJob executes fn on the pool under opts: a per-attempt timeout (via a
-// derived context fn must honor) and bounded retry-with-backoff for
-// attempts that return a retryable error (see Retryable). Panics convert
-// to *PanicError and are not retried. The slot is held across retries.
-func (p *Pool) RunJob(ctx context.Context, opts JobOptions, fn func(ctx context.Context) error) error {
-	if err := p.acquire(ctx); err != nil {
-		return err
-	}
-	defer p.release()
-	return p.attempt(ctx, opts, fn)
-}
-
-// attempt runs fn (already holding a slot) under opts.
-func (p *Pool) attempt(ctx context.Context, opts JobOptions, fn func(ctx context.Context) error) error {
-	attempts := opts.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	backoff := opts.Backoff
-	var err error
-	for try := 0; try < attempts; try++ {
-		// The first attempt always runs: a job that acquired its slot is
-		// "already executing" in ForEach's contract, even if the fan-out was
-		// cancelled meanwhile — that is what keeps error selection
-		// deterministic. Only retries re-check the context.
-		if try > 0 {
-			if backoff > 0 {
-				t := time.NewTimer(jitter(backoff))
-				select {
-				case <-t.C:
-				case <-ctx.Done():
-					t.Stop()
-					return ctx.Err()
-				}
-				backoff *= 2
-			}
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-		}
-		err = p.callOnce(ctx, opts.Timeout, fn)
-		if err == nil || !IsRetryable(err) {
-			return err
-		}
-	}
-	return err
-}
-
-// callOnce runs one attempt with its own deadline, panic conversion, and
-// run-time accounting.
-func (p *Pool) callOnce(ctx context.Context, timeout time.Duration, fn func(ctx context.Context) error) error {
+// call runs fn (already holding a slot) with its deadline, panic
+// conversion, and run-time accounting.
+func (p *Pool) call(ctx context.Context, timeout time.Duration, fn func(ctx context.Context) error) (err error) {
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	start := time.Now()
-	err := safeCall(func() error { return fn(ctx) })
-	d := time.Since(start)
-	p.runTime.Observe(d.Nanoseconds())
-	if p.tr != nil {
-		dur := d.Microseconds()
-		if dur < 1 {
-			dur = 1 // a zero-duration span renders as an instant mark
+	defer func(start time.Time) {
+		if v := recover(); v != nil {
+			err = &PanicError{Value: v, Stack: debug.Stack()}
 		}
-		p.tr.Emit(obs.KindJob, start.UnixMicro(), dur, 0, 0, 0)
-	}
-	return err
+		p.runTime.Observe(time.Since(start).Nanoseconds())
+	}(time.Now())
+	return fn(ctx)
 }
 
 // ForEach runs fn(ctx, i) for every i in [0, n) on the pool. The first
 // failure cancels the context handed to the remaining jobs (jobs already
-// executing run to completion — simulations are not interruptible — but
-// queued jobs abort before starting). The returned error is deterministic
-// regardless of completion order: the lowest-index real failure, falling
-// back to the lowest-index cancellation. A panicking job fails with a
-// *PanicError; the other jobs and the pool are unaffected.
+// executing run to completion unless they honor ctx, but queued jobs
+// abort before starting). The returned error is deterministic regardless
+// of completion order: the lowest-index real failure, falling back to the
+// lowest-index cancellation. A panicking job fails with a *PanicError;
+// the other jobs and the pool are unaffected.
 func (p *Pool) ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	return p.ForEachJob(ctx, n, JobOptions{}, fn)
-}
-
-// ForEachJob is ForEach with per-job options (timeout and retry; see
-// JobOptions and RunJob).
-func (p *Pool) ForEachJob(ctx context.Context, n int, opts JobOptions, fn func(ctx context.Context, i int) error) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	errs := make([]error, n)
@@ -279,7 +152,10 @@ func (p *Pool) ForEachJob(ctx context.Context, n int, opts JobOptions, fn func(c
 		go func(i int) {
 			defer wg.Done()
 			defer p.release()
-			if err := p.attempt(ctx, opts, func(ctx context.Context) error {
+			// A job that acquired its slot always runs, even if the fan-out
+			// was cancelled meanwhile: that keeps error selection
+			// deterministic.
+			if err := p.call(ctx, 0, func(ctx context.Context) error {
 				return fn(ctx, i)
 			}); err != nil {
 				errs[i] = err
@@ -323,7 +199,7 @@ type flight[V any] struct {
 // same key collapse into a single execution (singleflight): one caller
 // becomes the leader and runs the function on the pool; the rest block
 // until the leader finishes and then share its result. Successful results
-// are cached forever; failures are forgotten so a later call may retry.
+// are cached forever; failures are forgotten so a later call runs again.
 type Cache[V any] struct {
 	pool *Pool
 	mu   sync.Mutex
@@ -335,33 +211,17 @@ func NewCache[V any](pool *Pool) *Cache[V] {
 	return &Cache[V]{pool: pool, m: make(map[string]*flight[V])}
 }
 
-// Cached returns the stored value for key without computing anything.
-func (c *Cache[V]) Cached(key string) (V, bool) {
-	c.mu.Lock()
-	f, ok := c.m[key]
-	c.mu.Unlock()
-	if !ok {
-		return *new(V), false
-	}
-	select {
-	case <-f.done:
-		if f.err != nil {
-			return *new(V), false
-		}
-		return f.val, true
-	default:
-		return *new(V), false
-	}
-}
-
 // Do returns the value for key, computing it with fn at most once across
-// all concurrent callers. ran reports whether this call executed fn (false
-// for cache hits and for waiters that joined an in-flight computation).
-// The leader holds a pool slot while fn runs; waiters hold none, so a
-// thousand goroutines asking for the same key cost one worker. If fn
-// panics, the leader and every waiter receive a *PanicError, the flight is
-// forgotten (a later Do retries), and the pool slot is released.
-func (c *Cache[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v V, ran bool, err error) {
+// all concurrent callers. The leader runs fn through Pool.Run, so fn gets
+// the pool's slot, timeout (0 = none) and panic conversion. ran reports
+// whether this call led the flight (false for cache hits and for waiters
+// that joined an in-flight computation). Waiters hold no slot, so a
+// thousand goroutines asking for the same key cost one worker, and a
+// waiter whose ctx ends stops waiting without disturbing the flight. On
+// any failure — an error, a panic, a deadline or a cancelled wait for a
+// slot — the leader and every waiter receive the error and the flight is
+// forgotten, so a later Do runs fn again.
+func (c *Cache[V]) Do(ctx context.Context, key string, timeout time.Duration, fn func(ctx context.Context) (V, error)) (v V, ran bool, err error) {
 	c.mu.Lock()
 	if f, ok := c.m[key]; ok {
 		c.mu.Unlock()
@@ -369,98 +229,28 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v 
 		case <-f.done:
 			return f.val, false, f.err
 		case <-ctx.Done():
-			return *new(V), false, ctx.Err()
+			return v, false, ctx.Err()
 		}
 	}
 	f := &flight[V]{done: make(chan struct{})}
 	c.m[key] = f
 	c.mu.Unlock()
 
-	if err := c.pool.acquire(ctx); err != nil {
-		f.err = err
-		c.forget(key)
-		close(f.done)
-		return *new(V), false, err
-	}
-	// The deferred closure is the flight's single point of settlement: it
-	// converts a panic in fn, releases the slot, forgets failed flights,
-	// and closes done exactly once — in that order — so waiters can never
-	// be left blocked and the pool can never leak a slot, whatever fn did.
-	func() {
-		defer func() {
-			if v := recover(); v != nil {
-				f.err = &PanicError{Value: v, Stack: debug.Stack()}
-			}
-			c.pool.release()
-			if f.err != nil {
-				c.forget(key)
-			}
-			close(f.done)
-		}()
-		defer func(start time.Time) {
-			c.pool.runTime.Observe(time.Since(start).Nanoseconds())
-		}(time.Now())
-		f.val, f.err = fn()
-	}()
-	return f.val, true, f.err
-}
-
-// DoJob is Do with per-attempt options: the leader executes fn on the
-// pool under opts — per-attempt timeout via a derived context fn must
-// honor, and bounded jittered retry for attempts returning a retryable
-// error (see Retryable) — while waiters share the final outcome. Panics
-// convert to *PanicError for the leader and every waiter and are not
-// retried. Like Do, failed flights are forgotten so a later call may try
-// again.
-func (c *Cache[V]) DoJob(ctx context.Context, key string, opts JobOptions, fn func(ctx context.Context) (V, error)) (v V, ran bool, err error) {
-	c.mu.Lock()
-	if f, ok := c.m[key]; ok {
+	// Pool.Run is the flight's single point of settlement: it converts a
+	// panic in fn and always releases the slot, so the flight is forgotten
+	// (on failure) and done is closed exactly once, whatever fn did.
+	f.err = c.pool.Run(ctx, timeout, func(ctx context.Context) error {
+		val, err := fn(ctx)
+		if err == nil {
+			f.val = val
+		}
+		return err
+	})
+	if f.err != nil {
+		c.mu.Lock()
+		delete(c.m, key)
 		c.mu.Unlock()
-		select {
-		case <-f.done:
-			return f.val, false, f.err
-		case <-ctx.Done():
-			return *new(V), false, ctx.Err()
-		}
 	}
-	f := &flight[V]{done: make(chan struct{})}
-	c.m[key] = f
-	c.mu.Unlock()
-
-	if err := c.pool.acquire(ctx); err != nil {
-		f.err = err
-		c.forget(key)
-		close(f.done)
-		return *new(V), false, err
-	}
-	func() {
-		defer func() {
-			if v := recover(); v != nil {
-				f.err = &PanicError{Value: v, Stack: debug.Stack()}
-			}
-			c.pool.release()
-			if f.err != nil {
-				c.forget(key)
-			}
-			close(f.done)
-		}()
-		// attempt handles the timeout/retry/backoff envelope (including
-		// its own panic conversion and run-time accounting); the recover
-		// above is belt-and-braces for the envelope itself.
-		f.err = c.pool.attempt(ctx, opts, func(ctx context.Context) error {
-			val, err := fn(ctx)
-			if err == nil {
-				f.val = val
-			}
-			return err
-		})
-	}()
+	close(f.done)
 	return f.val, true, f.err
-}
-
-// forget removes a failed flight so the next Do retries it.
-func (c *Cache[V]) forget(key string) {
-	c.mu.Lock()
-	delete(c.m, key)
-	c.mu.Unlock()
 }

@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"ptmc/internal/obs"
 )
 
 func TestPoolBoundsConcurrency(t *testing.T) {
@@ -86,7 +84,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, ran, err := c.Do(context.Background(), "k", func() (int, error) {
+			v, ran, err := c.Do(context.Background(), "k", 0, func(context.Context) (int, error) {
 				computed.Add(1)
 				time.Sleep(2 * time.Millisecond)
 				return 42, nil
@@ -106,8 +104,9 @@ func TestCacheSingleflight(t *testing.T) {
 	if ranCount.Load() != 1 {
 		t.Errorf("%d callers reported ran=true, want exactly 1", ranCount.Load())
 	}
-	if v, ok := c.Cached("k"); !ok || v != 42 {
-		t.Errorf("Cached = %d, %v", v, ok)
+	v, ran, err := c.Do(context.Background(), "k", 0, func(context.Context) (int, error) { return 0, nil })
+	if err != nil || v != 42 || ran {
+		t.Errorf("cache hit: v=%d ran=%v err=%v, want 42 from the cache", v, ran, err)
 	}
 }
 
@@ -115,14 +114,14 @@ func TestCacheErrorsAreRetried(t *testing.T) {
 	p := NewPool(1)
 	c := NewCache[int](p)
 	calls := 0
-	_, _, err := c.Do(context.Background(), "k", func() (int, error) {
+	_, _, err := c.Do(context.Background(), "k", 0, func(context.Context) (int, error) {
 		calls++
 		return 0, errors.New("transient")
 	})
 	if err == nil {
 		t.Fatal("want error")
 	}
-	v, ran, err := c.Do(context.Background(), "k", func() (int, error) {
+	v, ran, err := c.Do(context.Background(), "k", 0, func(context.Context) (int, error) {
 		calls++
 		return 7, nil
 	})
@@ -138,7 +137,7 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 	p := NewPool(1)
 	c := NewCache[int](p)
 	release := make(chan struct{})
-	go c.Do(context.Background(), "slow", func() (int, error) {
+	go c.Do(context.Background(), "slow", 0, func(context.Context) (int, error) {
 		<-release
 		return 1, nil
 	})
@@ -146,7 +145,7 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := c.Do(ctx, "slow", func() (int, error) { return 2, nil })
+	_, _, err := c.Do(ctx, "slow", 0, func(context.Context) (int, error) { return 2, nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("waiter error = %v, want context.Canceled", err)
 	}
@@ -223,7 +222,7 @@ func TestCacheDoPanicUnblocksWaiters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			_, _, err := c.Do(context.Background(), "boom", func() (int, error) {
+			_, _, err := c.Do(context.Background(), "boom", 0, func(context.Context) (int, error) {
 				time.Sleep(2 * time.Millisecond) // let waiters join the flight
 				panic("leader exploded")
 			})
@@ -241,7 +240,7 @@ func TestCacheDoPanicUnblocksWaiters(t *testing.T) {
 		t.Errorf("%d callers saw the PanicError, want 8", n)
 	}
 	// The failed flight must be forgotten and the slot released.
-	v, ran, err := c.Do(context.Background(), "boom", func() (int, error) { return 9, nil })
+	v, ran, err := c.Do(context.Background(), "boom", 0, func(context.Context) (int, error) { return 9, nil })
 	if err != nil || v != 9 || !ran {
 		t.Fatalf("retry after panic: v=%d ran=%v err=%v", v, ran, err)
 	}
@@ -252,7 +251,7 @@ func TestCacheDoPanicUnblocksWaiters(t *testing.T) {
 
 func TestRunConvertsPanic(t *testing.T) {
 	p := NewPool(2)
-	err := p.Run(context.Background(), func() error { panic(42) })
+	err := p.Run(context.Background(), 0, func(context.Context) error { panic(42) })
 	var pe *PanicError
 	if !errors.As(err, &pe) || pe.Value != 42 {
 		t.Fatalf("err = %v, want PanicError{42}", err)
@@ -262,66 +261,35 @@ func TestRunConvertsPanic(t *testing.T) {
 	}
 }
 
-// TestRunJobTimeout verifies the per-attempt deadline reaches the job's
-// context.
-func TestRunJobTimeout(t *testing.T) {
-	p := NewPool(1)
-	err := p.RunJob(context.Background(), JobOptions{Timeout: 5 * time.Millisecond},
-		func(ctx context.Context) error {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(5 * time.Second):
-				return nil
-			}
-		})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
-}
-
-// TestRunJobRetriesRetryable verifies bounded retry-with-backoff: a
-// retryable error re-runs up to Attempts times; a terminal error does not.
-func TestRunJobRetriesRetryable(t *testing.T) {
-	p := NewPool(1)
-	calls := 0
-	err := p.RunJob(context.Background(), JobOptions{Attempts: 3, Backoff: time.Microsecond},
-		func(ctx context.Context) error {
-			calls++
-			if calls < 3 {
-				return Retryable(errors.New("transient"))
-			}
+// TestRunTimeout verifies the deadline reaches the job's context, and
+// that a singleflight leader's deadline settles every waiter.
+func TestRunTimeout(t *testing.T) {
+	block := func(ctx context.Context) error {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(5 * time.Second):
 			return nil
-		})
-	if err != nil || calls != 3 {
-		t.Fatalf("calls=%d err=%v, want 3 calls and success", calls, err)
+		}
 	}
-
-	calls = 0
-	boom := errors.New("terminal")
-	err = p.RunJob(context.Background(), JobOptions{Attempts: 3}, func(ctx context.Context) error {
-		calls++
-		return boom
-	})
-	if !errors.Is(err, boom) || calls != 1 {
-		t.Fatalf("calls=%d err=%v, want 1 call and terminal error", calls, err)
+	p := NewPool(1)
+	if err := p.Run(context.Background(), 5*time.Millisecond, block); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Run err = %v, want DeadlineExceeded", err)
 	}
-
-	// Retries exhausted: the last retryable error surfaces (and unwraps).
-	calls = 0
-	err = p.RunJob(context.Background(), JobOptions{Attempts: 2}, func(ctx context.Context) error {
-		calls++
-		return Retryable(boom)
+	c := NewCache[int](p)
+	_, ran, err := c.Do(context.Background(), "k", 5*time.Millisecond, func(ctx context.Context) (int, error) {
+		return 1, block(ctx)
 	})
-	if !errors.Is(err, boom) || !IsRetryable(err) || calls != 2 {
-		t.Fatalf("calls=%d err=%v, want 2 calls and wrapped terminal error", calls, err)
+	if !errors.Is(err, context.DeadlineExceeded) || !ran {
+		t.Fatalf("Do ran=%v err=%v, want leader with DeadlineExceeded", ran, err)
+	}
+	if len(p.sem) != 0 {
+		t.Error("slot leaked after deadline")
 	}
 }
 
-func TestPoolHistogramsAndJobTrace(t *testing.T) {
+func TestPoolHistograms(t *testing.T) {
 	p := NewPool(2)
-	tr := obs.NewTracer(64)
-	p.SetTracer(tr)
 	const jobs = 8
 	err := p.ForEach(context.Background(), jobs, func(context.Context, int) error {
 		time.Sleep(time.Millisecond)
@@ -339,86 +307,5 @@ func TestPoolHistogramsAndJobTrace(t *testing.T) {
 	// Each job slept ~1ms; the run-time histogram must reflect that scale.
 	if p.RunTime().Quantile(0.5) < uint64(time.Millisecond/2) {
 		t.Errorf("run-time p50 %d ns implausibly small for 1ms jobs", p.RunTime().Quantile(0.5))
-	}
-	events := tr.Events()
-	if len(events) != jobs {
-		t.Fatalf("job trace has %d events, want %d", len(events), jobs)
-	}
-	for _, e := range events {
-		if e.Kind != obs.KindJob || e.Dur <= 0 {
-			t.Fatalf("bad job event: %+v", e)
-		}
-	}
-}
-
-// TestBackoffJitterBounds pins the jitter window: a jittered backoff is
-// uniform in [d/2, d) — never zero, never the full base — so a burst of
-// simultaneous retriers spreads out instead of thundering back together.
-func TestBackoffJitterBounds(t *testing.T) {
-	const d = 100 * time.Millisecond
-	sawLow, sawHigh := false, false
-	for i := 0; i < 2000; i++ {
-		j := jitter(d)
-		if j < d/2 || j >= d {
-			t.Fatalf("jitter(%v) = %v, want in [%v, %v)", d, j, d/2, d)
-		}
-		if j < d*5/8 {
-			sawLow = true
-		}
-		if j > d*7/8 {
-			sawHigh = true
-		}
-	}
-	if !sawLow || !sawHigh {
-		t.Errorf("jitter not spreading across the window (low=%v high=%v)", sawLow, sawHigh)
-	}
-	if jitter(0) != 0 || jitter(1) != 1 {
-		t.Errorf("degenerate backoffs must pass through unchanged")
-	}
-}
-
-// TestBackoffCancellationPrompt is the drain guarantee: cancelling a job
-// that is asleep in its retry backoff interrupts the sleep immediately —
-// a draining daemon must never wait out a pending retry. The backoff here
-// is far longer than the test's patience; only the ctx-aware sleep lets
-// it pass.
-func TestBackoffCancellationPrompt(t *testing.T) {
-	p := NewPool(1)
-	ctx, cancel := context.WithCancel(context.Background())
-	attempts := make(chan struct{}, 4)
-	done := make(chan error, 1)
-	start := time.Now()
-	go func() {
-		done <- p.RunJob(ctx, JobOptions{Attempts: 3, Backoff: time.Hour},
-			func(ctx context.Context) error {
-				attempts <- struct{}{}
-				return Retryable(errors.New("transient"))
-			})
-	}()
-	// First attempt runs, then the job parks in its one-hour backoff.
-	select {
-	case <-attempts:
-	case <-time.After(5 * time.Second):
-		t.Fatal("first attempt never ran")
-	}
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancellation did not interrupt the backoff")
-	}
-	if waited := time.Since(start); waited > 2*time.Second {
-		t.Fatalf("backoff held the job for %v after cancel", waited)
-	}
-	select {
-	case <-attempts:
-		t.Fatal("job re-attempted after cancellation")
-	default:
-	}
-	if len(p.sem) != 0 {
-		t.Error("slot leaked after cancelled backoff")
 	}
 }

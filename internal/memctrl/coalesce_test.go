@@ -105,7 +105,7 @@ func TestCoalescedWaiterStillFillsWhenNotInstalled(t *testing.T) {
 
 	beforeFills := p.Stats().FillsCompressed
 	beforeUseful := p.Stats().UsefulFreePf
-	p.issue(base, false, kMetadataRead, r.now, func(c int64) {})
+	p.issue(base, false, fullBurst, kMetadataRead, r.now, func(c int64) {})
 	done := int64(-1)
 	p.LLP().Record(base+1, cache.Comp4, false, false)
 	r.ctrl.Read(0, base+1, r.now, func(c int64) { done = c })

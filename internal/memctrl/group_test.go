@@ -238,7 +238,7 @@ func TestCoalescedReadsShareOneBurst(t *testing.T) {
 	b := &r.ctrl.(*Uncompressed).base
 	done := 0
 	for i := 0; i < 3; i++ {
-		b.issue(40, false, kDemandRead, r.now, func(int64) { done++ })
+		b.issue(40, false, fullBurst, kDemandRead, r.now, func(int64) { done++ })
 	}
 	r.drain()
 	if done != 3 {
@@ -255,8 +255,8 @@ func TestCoalescedReadsShareOneBurst(t *testing.T) {
 func TestWritesDoNotCoalesce(t *testing.T) {
 	r := newUncompressedRig(t)
 	b := &r.ctrl.(*Uncompressed).base
-	b.issue(41, true, kDirtyWrite, r.now, nil)
-	b.issue(41, true, kDirtyWrite, r.now, nil)
+	b.issue(41, true, fullBurst, kDirtyWrite, r.now, nil)
+	b.issue(41, true, fullBurst, kDirtyWrite, r.now, nil)
 	r.drain()
 	if b.st.DirtyWrites != 2 {
 		t.Errorf("writes = %d, want 2 (no write coalescing)", b.st.DirtyWrites)

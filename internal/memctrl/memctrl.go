@@ -15,12 +15,11 @@
 package memctrl
 
 import (
-	"fmt"
-
 	"ptmc/internal/cache"
 	"ptmc/internal/compress"
 	"ptmc/internal/dram"
 	"ptmc/internal/mem"
+	"ptmc/internal/metadata"
 	"ptmc/internal/obs"
 )
 
@@ -141,6 +140,10 @@ type Controller interface {
 	// SkippedTicks credits the per-tick accounting of n bus cycles the
 	// run loop proved eventless and skipped.
 	SkippedTicks(n int64)
+	// SetDecompressCycles overrides the decompression latency (ablations).
+	SetDecompressCycles(n int64)
+	// SetTracer attaches (or, with nil, detaches) an event tracer.
+	SetTracer(t *obs.Tracer)
 }
 
 // kind tags a DRAM request for stats accounting.
@@ -264,34 +267,38 @@ func (b *base) SetTracer(t *obs.Tracer) { b.tr = t }
 func (b *base) Stats() *Stats           { return &b.st }
 func (b *base) DRAM() *dram.DRAM        { return b.d }
 func (b *base) Pending() int            { return b.outstanding + len(b.retry) + b.d.QueueDepth() }
-func (b *base) account(k kind)          { b.accountN(k, 1) }
-func (b *base) accountN(k kind, n uint64) {
+func (b *base) account(k kind) {
 	switch k {
 	case kDemandRead:
-		b.st.DemandReads += n
+		b.st.DemandReads++
 	case kMispredictRead:
-		b.st.MispredictReads += n
+		b.st.MispredictReads++
 	case kMetadataRead:
-		b.st.MetadataReads += n
+		b.st.MetadataReads++
 	case kPrefetchRead:
-		b.st.PrefetchReads += n
+		b.st.PrefetchReads++
 	case kDirtyWrite:
-		b.st.DirtyWrites += n
+		b.st.DirtyWrites++
 	case kCleanCompWrite:
-		b.st.CleanCompIntoW += n
+		b.st.CleanCompIntoW++
 	case kInvalidateWrite:
-		b.st.Invalidates += n
+		b.st.Invalidates++
 	case kMetadataWrite:
-		b.st.MetadataWrites += n
+		b.st.MetadataWrites++
 	}
 }
 
-// issue sends one DRAM request, retrying through the backpressure queue.
-// done (reads only) fires at burst completion. Reads to a location that
-// already has a burst in flight coalesce onto it for free; issue reports
-// that, because a coalesced *demand* read is exactly the bandwidth benefit
-// of co-located compression (the Dynamic-PTMC "+1" event).
-func (b *base) issue(a mem.LineAddr, write bool, k kind, now int64, done Done) (coalesced bool) {
+// fullBurst is the burst length, in 8-byte bus beats, of a 64-byte line.
+// Only MemZip issues shorter bursts.
+const fullBurst = 8
+
+// issue sends one DRAM request of beats bus beats, retrying through the
+// backpressure queue. done (reads only) fires at burst completion. Reads
+// to a location that already has a burst in flight coalesce onto it for
+// free; issue reports that, because a coalesced *demand* read is exactly
+// the bandwidth benefit of co-located compression (the Dynamic-PTMC "+1"
+// event).
+func (b *base) issue(a mem.LineAddr, write bool, beats int, k kind, now int64, done Done) (coalesced bool) {
 	if !write {
 		if waiters, in := b.inflightReads[a]; in {
 			b.st.CoalescedReads++
@@ -310,7 +317,7 @@ func (b *base) issue(a mem.LineAddr, write bool, k kind, now int64, done Done) (
 		b.tr.Emit(ek, now, 0, 0, uint64(a), int64(k))
 	}
 	req := b.d.AcquireRequest()
-	req.Addr, req.Write = a, write
+	req.Addr, req.Write, req.Beats = a, write, beats
 	if done != nil || !write {
 		b.outstanding++
 		req.OnComplete = b.acquireDone(a, write, done).fn
@@ -319,6 +326,21 @@ func (b *base) issue(a mem.LineAddr, write bool, k kind, now int64, done Done) (
 		b.retry = append(b.retry, req)
 	}
 	return false
+}
+
+// chargeMeta issues the DRAM traffic of one metadata-cache transaction and
+// calls then once the required metadata (if any) has arrived.
+func (b *base) chargeMeta(tr metadata.Traffic, now int64, then Done) {
+	if tr.NeedWrite {
+		b.issue(tr.WriteAddr, true, fullBurst, kMetadataWrite, now, nil)
+	}
+	if tr.NeedRead {
+		b.issue(tr.ReadAddr, false, fullBurst, kMetadataRead, now, then)
+		return
+	}
+	if then != nil {
+		then(now)
+	}
 }
 
 // NextEventCycle returns the earliest CPU cycle at which ticking the
@@ -460,5 +482,3 @@ func (b *base) install(core int, a mem.LineAddr, dirty, prefetch bool, level cac
 		Core:     uint8(core),
 	}, now)
 }
-
-var _ = fmt.Sprintf // keep fmt for debug builds

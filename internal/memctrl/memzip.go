@@ -93,35 +93,13 @@ func (z *MemZip) InitLineReady(a mem.LineAddr, data []byte) bool {
 	return true
 }
 
-// issueBeats sends a reduced-burst DRAM request.
-func (z *MemZip) issueBeats(a mem.LineAddr, write bool, beats int, k kind, now int64, done Done) {
-	// Reuse base.issue's coalescing/retry plumbing by constructing the
-	// request here; accounting matches full bursts (each is one request).
-	z.account(k)
-	req := z.d.AcquireRequest()
-	req.Addr, req.Write, req.Beats = a, write, beats
-	if done != nil || !write {
-		z.outstanding++
-		req.OnComplete = func(c int64) {
-			z.outstanding--
-			if done != nil {
-				done(c)
-			}
-		}
-	}
-	if !z.d.Enqueue(req, now) {
-		z.retry = append(z.retry, req)
-	}
-}
-
 // Read implements Controller: metadata lookup (burst length) first, then a
 // reduced burst for the data.
 func (z *MemZip) Read(core_ int, a mem.LineAddr, now int64, done Done) {
-	tr := z.meta.Touch(a, false)
-	proceed := func(c int64) {
+	z.chargeMeta(z.meta.Touch(a, false), now, func(c int64) {
 		beats := z.beats.get(a)
-		z.issueBeats(a, false, beats, kDemandRead, c, func(c2 int64) {
-			if beats < 8 {
+		z.issue(a, false, beats, kDemandRead, c, func(c2 int64) {
+			if beats < fullBurst {
 				c2 += z.decompLat
 				z.st.FillsCompressed++
 			} else {
@@ -131,15 +109,7 @@ func (z *MemZip) Read(core_ int, a mem.LineAddr, now int64, done Done) {
 			z.install(core_, a, false, false, cache.Uncompressed, c2)
 			done(c2)
 		})
-	}
-	if tr.NeedWrite {
-		z.issue(tr.WriteAddr, true, kMetadataWrite, now, nil)
-	}
-	if tr.NeedRead {
-		z.issue(tr.ReadAddr, false, kMetadataRead, now, proceed)
-		return
-	}
-	proceed(now)
+	})
 }
 
 // Evict implements Controller: dirty lines re-compress in place; a burst
@@ -156,14 +126,8 @@ func (z *MemZip) Evict(core_ int, e cache.Entry, now int64) {
 	newBeats := z.dataBeats(z.arch.Read(e.Tag))
 	old := z.beats.get(e.Tag)
 	z.beats.set(e.Tag, newBeats)
-	z.issueBeats(e.Tag, true, newBeats, kDirtyWrite, now, nil)
+	z.issue(e.Tag, true, newBeats, kDirtyWrite, now, nil)
 	if newBeats != old {
-		tr := z.meta.Touch(e.Tag, true)
-		if tr.NeedWrite {
-			z.issue(tr.WriteAddr, true, kMetadataWrite, now, nil)
-		}
-		if tr.NeedRead {
-			z.issue(tr.ReadAddr, false, kMetadataRead, now, nil)
-		}
+		z.chargeMeta(z.meta.Touch(e.Tag, true), now, nil)
 	}
 }

@@ -163,7 +163,7 @@ func (p *PTMC) writeRaw(a mem.LineAddr, data []byte, now int64, charge bool, k k
 		}
 	}
 	if charge {
-		p.issue(a, true, k, now, nil)
+		p.issue(a, true, fullBurst, k, now, nil)
 	}
 }
 
@@ -173,7 +173,7 @@ func (p *PTMC) writeInvalid(a mem.LineAddr, now int64, charge bool) {
 	p.img.Write(a, il[:])
 	p.lit.Remove(a)
 	if charge {
-		p.issue(a, true, kInvalidateWrite, now, nil)
+		p.issue(a, true, fullBurst, kInvalidateWrite, now, nil)
 	}
 }
 
@@ -311,7 +311,7 @@ func (p *PTMC) tryRead(core_ int, a, home mem.LineAddr, counted bool,
 	tried |= 1 << uint(core.GroupIndex(home))
 
 	var coalesced bool
-	coalesced = p.issue(home, false, k, now, func(c int64) {
+	coalesced = p.issue(home, false, fullBurst, k, now, func(c int64) {
 		data := p.img.Read(home)
 		class := p.markers.Classify(home, data)
 		switch class {
@@ -355,7 +355,7 @@ func (p *PTMC) tryRead(core_ int, a, home mem.LineAddr, counted bool,
 			inverted, extra := p.lit.Contains(home)
 			if extra {
 				// Memory-mapped LIT: the inversion bit costs a read.
-				p.issue(home, false, kMetadataRead, c, nil)
+				p.issue(home, false, fullBurst, kMetadataRead, c, nil)
 			}
 			if home == a {
 				val := data
@@ -474,7 +474,7 @@ func (p *PTMC) Evict(core_ int, e cache.Entry, now int64) {
 			p.img.Write(u.home, sealed[:])
 			p.lit.Remove(u.home)
 			if charge {
-				p.issue(u.home, true, k, now, nil)
+				p.issue(u.home, true, fullBurst, k, now, nil)
 			}
 		case cache.Comp2:
 			p.st.Groups2++
@@ -482,7 +482,7 @@ func (p *PTMC) Evict(core_ int, e cache.Entry, now int64) {
 			p.img.Write(u.home, sealed[:])
 			p.lit.Remove(u.home)
 			if charge {
-				p.issue(u.home, true, k, now, nil)
+				p.issue(u.home, true, fullBurst, k, now, nil)
 			}
 		default:
 			p.st.SinglesWrit++

@@ -49,28 +49,13 @@ func (t *TableTMC) InitLine(a mem.LineAddr) {
 // performed, and no metadata state moves. Always true.
 func (t *TableTMC) InitLineReady(a mem.LineAddr, data []byte) bool { return true }
 
-// chargeMeta issues the DRAM traffic of one metadata-cache transaction and
-// calls then once the required metadata (if any) has arrived.
-func (t *TableTMC) chargeMeta(tr metadata.Traffic, now int64, then Done) {
-	if tr.NeedWrite {
-		t.issue(tr.WriteAddr, true, kMetadataWrite, now, nil)
-	}
-	if tr.NeedRead {
-		t.issue(tr.ReadAddr, false, kMetadataRead, now, then)
-		return
-	}
-	if then != nil {
-		then(now)
-	}
-}
-
 // Read implements Controller: metadata lookup first (possibly a serialized
 // DRAM access), then the data access at the location the CSI names.
 func (t *TableTMC) Read(core_ int, a mem.LineAddr, now int64, done Done) {
 	level, tr := t.meta.Lookup(a)
 	t.chargeMeta(tr, now, func(c int64) {
 		home := core.HomeFor(a, level)
-		t.issue(home, false, kDemandRead, c, func(c2 int64) {
+		t.issue(home, false, fullBurst, kDemandRead, c, func(c2 int64) {
 			t.fill(core_, a, home, level, c2, done)
 		})
 	})
@@ -151,7 +136,7 @@ func (t *TableTMC) Evict(core_ int, e cache.Entry, now int64) {
 			t.st.SinglesWrit++
 			t.img.Write(u.home, t.archLineSlot(u.home, 0))
 		}
-		t.issue(u.home, true, k, now, nil)
+		t.issue(u.home, true, fullBurst, k, now, nil)
 		if changedLevel {
 			for _, m := range u.members {
 				tr := t.meta.Update(m.addr, u.level)

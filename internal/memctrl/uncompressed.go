@@ -32,7 +32,7 @@ func (u *Uncompressed) InitLineReady(a mem.LineAddr, data []byte) bool {
 
 // Read implements Controller.
 func (u *Uncompressed) Read(core int, a mem.LineAddr, now int64, done Done) {
-	u.issue(a, false, kDemandRead, now, func(c int64) {
+	u.issue(a, false, fullBurst, kDemandRead, now, func(c int64) {
 		u.st.FillsUncompressed++
 		u.checkIntegrity(a, u.img.Read(a))
 		u.install(core, a, false, false, cache.Uncompressed, c)
@@ -46,7 +46,7 @@ func (u *Uncompressed) Evict(core int, e cache.Entry, now int64) {
 		return
 	}
 	u.img.Write(e.Tag, u.arch.Read(e.Tag))
-	u.issue(e.Tag, true, kDirtyWrite, now, nil)
+	u.issue(e.Tag, true, fullBurst, kDirtyWrite, now, nil)
 }
 
 // NextLinePrefetch is the Table VI comparison: the uncompressed baseline
@@ -72,7 +72,7 @@ func (p *NextLinePrefetch) Read(core int, a mem.LineAddr, now int64, done Done) 
 	}
 	// The prefetch target may be untouched memory; architecturally that
 	// reads as zeros, which is fine — install the tag either way.
-	p.issue(next, false, kPrefetchRead, now, func(c int64) {
+	p.issue(next, false, fullBurst, kPrefetchRead, now, func(c int64) {
 		if _, in := p.llc.Probe(next); in {
 			return // demand fill beat us
 		}

@@ -190,7 +190,7 @@ func (r *Runner) config(wl, scheme string) sim.Config {
 // run executes (or recalls) one job through the deduplicated cache. ran
 // reports whether this call performed the simulation.
 func (r *Runner) run(ctx context.Context, j Job) (res *sim.Result, ran bool, err error) {
-	return r.cache.Do(ctx, j.key(), func() (*sim.Result, error) {
+	return r.cache.Do(ctx, j.key(), 0, func(context.Context) (*sim.Result, error) {
 		cfg := r.config(j.Workload, j.Scheme)
 		if j.Mutate != nil {
 			j.Mutate(&cfg)

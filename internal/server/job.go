@@ -209,7 +209,7 @@ type JobStatus struct {
 // point) and fanned out to live subscribers.
 type Event struct {
 	Seq  int    `json:"seq"`
-	Kind string `json:"kind"` // accepted|queued|started|scheme|retry|replayed|requeued|canceled|done|failed
+	Kind string `json:"kind"` // accepted|queued|started|scheme|replayed|requeued|canceled|done|failed
 	Msg  string `json:"msg,omitempty"`
 }
 

@@ -216,7 +216,7 @@ func TestTransientStoreFaultRequeuesInProcess(t *testing.T) {
 		return nil
 	}
 	s, err := newFromStore(Config{
-		Dir: dir, Workers: 1, Parallel: 1, QueueCap: 8,
+		Dir: dir, Workers: 1, QueueCap: 8,
 		TenantQuota: 1, // one in-flight job per tenant: a leak would 429 the follow-up
 		Backoff:     time.Millisecond,
 		RunSim: func(ctx context.Context, c sim.Config) (*sim.Result, error) {
@@ -232,7 +232,7 @@ func TestTransientStoreFaultRequeuesInProcess(t *testing.T) {
 	// Pre-fix: the job wedges in "running" forever and this times out.
 	waitState(t, hs, st.ID, StateDone)
 
-	if got := s.m.storeRetries.Load(); got < 2 {
+	if got := s.m.storeRequeues.Load(); got < 2 {
 		t.Errorf("store_retries = %d, want >= 2", got)
 	}
 	// The requeued edge is visible on the event stream.

@@ -22,13 +22,11 @@ import (
 // field selects the documented default.
 type Config struct {
 	Dir          string        // job-store directory (required)
-	Workers      int           // concurrent jobs (default 1; each job runs its schemes via the exec pool)
-	Parallel     int           // exec pool size for scheme simulations (default GOMAXPROCS)
+	Workers      int           // concurrent jobs, and so concurrent simulations (default 1)
 	QueueCap     int           // max jobs waiting for a worker (default 64)
 	TenantQuota  int           // max queued+running jobs per tenant (0 = unlimited)
 	JobTimeout   time.Duration // default per-scheme deadline (0 = none; spec may override)
-	Retries      int           // attempts per scheme for retryable failures (default 1)
-	Backoff      time.Duration // base jittered backoff between retries (default 100ms)
+	Backoff      time.Duration // base requeue backoff after a transient store-write failure (default 100ms)
 	SegmentBytes int64         // WAL segment rotation threshold (default DefaultSegmentBytes)
 	// RunSim is the simulation entry point (nil = sim.RunContext). Tests
 	// substitute fakes and fault injectors; it must be set here — not
@@ -63,7 +61,9 @@ type Server struct {
 	pool  *exec.Pool
 	// flights deduplicates identical (workload, scheme, variant) points
 	// across concurrently-running jobs — the in-memory singleflight layer
-	// above the on-disk result cache.
+	// above the on-disk result cache. A job runs its schemes one after
+	// another and a flight's waiters hold no pool slot, so a pool of
+	// Workers slots never makes a leader wait.
 	flights *exec.Cache[*sim.Result]
 
 	mu         sync.Mutex
@@ -72,7 +72,7 @@ type Server struct {
 	sweeps     map[string]*sweep
 	sweepOrder []string
 
-	baseCtx    context.Context // cancelled on drain: running sims stop at their next barrier
+	baseCtx    context.Context // cancelled on drain: running sims stop at their next context poll
 	cancelRuns context.CancelFunc
 	workers    sync.WaitGroup
 	draining   atomic.Bool
@@ -89,20 +89,19 @@ type Server struct {
 // race-free against the serving hot path (obs.Registry's documented
 // contract for concurrent scraping).
 type metrics struct {
-	accepted     atomic.Uint64 // jobs durably accepted
-	dedup        atomic.Uint64 // submissions answered by an existing job
-	rejected     atomic.Uint64 // typed 429/503 rejections
-	completed    atomic.Uint64 // jobs finished ok
-	failed       atomic.Uint64 // jobs finished with a typed failure
-	replayed     atomic.Uint64 // jobs re-enqueued from the WAL at boot
-	recovered    atomic.Uint64 // jobs completed at boot from an existing artifact (no re-run)
-	retried      atomic.Uint64 // per-scheme retry attempts
-	cacheHits    atomic.Uint64 // jobs served from the persistent result cache
-	inflight     atomic.Uint64 // jobs a worker currently holds
-	simsRun      atomic.Uint64 // actual simulator invocations (the duplicate-work proof metric)
-	storeRetries atomic.Uint64 // settlements re-tried in-process after a transient store failure
-	sweeps       atomic.Uint64 // sweeps durably accepted
-	sweepsDone   atomic.Uint64 // sweeps aggregated and settled
+	accepted      atomic.Uint64 // jobs durably accepted
+	dedup         atomic.Uint64 // submissions answered by an existing job
+	rejected      atomic.Uint64 // typed 429/503 rejections
+	completed     atomic.Uint64 // jobs finished ok
+	failed        atomic.Uint64 // jobs finished with a typed failure
+	replayed      atomic.Uint64 // jobs re-enqueued from the WAL at boot
+	recovered     atomic.Uint64 // jobs completed at boot from an existing artifact (no re-run)
+	cacheHits     atomic.Uint64 // jobs served from the persistent result cache
+	inflight      atomic.Uint64 // jobs a worker currently holds
+	simsRun       atomic.Uint64 // actual simulator invocations (the duplicate-work proof metric)
+	storeRequeues atomic.Uint64 // settlements re-tried in-process after a transient store failure
+	sweeps        atomic.Uint64 // sweeps durably accepted
+	sweepsDone    atomic.Uint64 // sweeps aggregated and settled
 }
 
 // New opens the store, replays the WAL (re-enqueueing interrupted work),
@@ -128,14 +127,11 @@ func newFromStore(cfg Config, store *Store) (*Server, error) {
 	if cfg.QueueCap < 1 {
 		cfg.QueueCap = 64
 	}
-	if cfg.Retries < 1 {
-		cfg.Retries = 1
-	}
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = 100 * time.Millisecond
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	pool := exec.NewPool(cfg.Parallel)
+	pool := exec.NewPool(cfg.Workers)
 	s := &Server{
 		cfg:        cfg,
 		store:      store,
@@ -251,10 +247,9 @@ func (s *Server) registerMetrics() {
 	c("ptmcd.jobs_failed", s.m.failed.Load)
 	c("ptmcd.jobs_replayed", s.m.replayed.Load)
 	c("ptmcd.jobs_recovered", s.m.recovered.Load)
-	c("ptmcd.scheme_retries", s.m.retried.Load)
 	c("ptmcd.result_cache_hits", s.m.cacheHits.Load)
 	c("ptmcd.sims_run", s.m.simsRun.Load)
-	c("ptmcd.store_retries", s.m.storeRetries.Load)
+	c("ptmcd.store_retries", s.m.storeRequeues.Load)
 	c("ptmcd.sweeps_accepted", s.m.sweeps.Load)
 	c("ptmcd.sweeps_completed", s.m.sweepsDone.Load)
 	g("ptmcd.jobs_inflight", s.m.inflight.Load)
@@ -321,16 +316,11 @@ func (s *Server) runJob(j *job) {
 	var simEvents []obs.Event
 	art := ResultArtifact{ID: j.id, Spec: j.spec}
 	for i, scheme := range j.spec.Schemes {
-		scheme := scheme
-		tries := 0
 		t0 := time.Now()
-		res, _, err := s.flights.DoJob(s.baseCtx, j.spec.SchemeKey(scheme),
-			exec.JobOptions{Timeout: timeout, Attempts: s.cfg.Retries, Backoff: s.cfg.Backoff},
+		runs := int64(0) // the span's arg: 1 if this job ran the sim, 0 if it shared a flight
+		res, _, err := s.flights.Do(s.baseCtx, j.spec.SchemeKey(scheme), timeout,
 			func(ctx context.Context) (*sim.Result, error) {
-				if tries++; tries > 1 {
-					s.m.retried.Add(1)
-					j.emit("retry", fmt.Sprintf("%s attempt %d", scheme, tries))
-				}
+				runs++
 				s.m.simsRun.Add(1)
 				return s.runSim(ctx, j.spec.Config(scheme))
 			})
@@ -339,7 +329,7 @@ func (s *Server) runJob(j *job) {
 			return
 		}
 		tracer.Emit(obs.KindJob, t0.Sub(start).Microseconds(),
-			time.Since(t0).Microseconds()+1, i, 0, int64(tries))
+			time.Since(t0).Microseconds()+1, i, 0, runs)
 		if j.spec.Trace && res != nil {
 			simEvents = append(simEvents, res.TraceEvents...)
 		}
@@ -432,7 +422,7 @@ func (s *Server) leaveForReplay(j *job, err error) {
 	n := j.requeues
 	j.mu.Unlock()
 	s.queue.Release(j.spec.Tenant)
-	s.m.storeRetries.Add(1)
+	s.m.storeRequeues.Add(1)
 	j.emit("requeued", fmt.Sprintf("store write failed (%v); retrying in-process", err))
 	backoff := s.cfg.Backoff
 	for i := 1; i < n && backoff < 5*time.Second; i++ {
@@ -489,7 +479,7 @@ func (s *Server) sweepCoordinator(sw *sweep) {
 		if errors.Is(err, ErrStoreDead) {
 			return
 		}
-		s.m.storeRetries.Add(1)
+		s.m.storeRequeues.Add(1)
 		select {
 		case <-time.After(backoff):
 		case <-s.baseCtx.Done():
@@ -686,8 +676,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	s.m.accepted.Add(1)
 	j.emit("accepted", "")
-	s.queue.Commit(j)
+	// queued goes on the stream before the job is dequeueable, so a worker
+	// can never emit started ahead of it.
 	j.emit("queued", "")
+	s.queue.Commit(j)
 	writeJSON(w, http.StatusAccepted, j.status())
 }
 
@@ -749,8 +741,8 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	for _, cj := range fresh {
 		cj.emit("accepted", "sweep "+id)
-		s.queue.EnqueueReplayed(cj)
 		cj.emit("queued", "")
+		s.queue.EnqueueReplayed(cj)
 	}
 	s.m.sweeps.Add(1)
 	s.workers.Add(1)

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"ptmc/internal/exec"
 	"ptmc/internal/sim"
 )
 
@@ -41,7 +40,7 @@ func newTestServer(t *testing.T, mutate func(*Config), stub func(ctx context.Con
 			return fakeResult(c), nil
 		}
 	}
-	cfg := Config{Dir: t.TempDir(), Workers: 2, Parallel: 2, QueueCap: 8, RunSim: stub}
+	cfg := Config{Dir: t.TempDir(), Workers: 2, QueueCap: 8, RunSim: stub}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -234,9 +233,13 @@ func TestTypedFailuresPersist(t *testing.T) {
 		if c.Scheme == "memzip" {
 			panic("controller bug")
 		}
+		if c.Scheme == "dynamic-ptmc" {
+			<-ctx.Done() // a run that only its deadline stops
+			return nil, ctx.Err()
+		}
 		return fakeResult(c), nil
 	}
-	s, hs := newTestServer(t, nil, stub)
+	s, hs := newTestServer(t, func(c *Config) { c.JobTimeout = 20 * time.Millisecond }, stub)
 
 	_, st := submit(t, hs, `{"workload":"lbm06","schemes":["uncompressed","ptmc"],"cores":2,"warmup_instr":100,"measure_instr":200}`)
 	fin := waitState(t, hs, st.ID, StateFailed)
@@ -260,7 +263,15 @@ func TestTypedFailuresPersist(t *testing.T) {
 	_, st3 := submit(t, hs, `{"workload":"lbm06","schemes":["uncompressed"],"cores":2,"warmup_instr":100,"measure_instr":200,"seed":9}`)
 	waitState(t, hs, st3.ID, StateDone)
 
-	// Both failures are durable: a restart over the same dir replays them
+	// Deadline: the job timeout reaches the run's context through the
+	// flight cache and settles the job as a typed timeout.
+	_, st4 := submit(t, hs, `{"workload":"lbm06","schemes":["dynamic-ptmc"],"cores":2,"warmup_instr":100,"measure_instr":200}`)
+	fin4 := waitState(t, hs, st4.ID, StateFailed)
+	if fin4.FailKind != FailKindTimeout {
+		t.Fatalf("fail kind %q err %q, want timeout", fin4.FailKind, fin4.Error)
+	}
+
+	// Every failure is durable: a restart over the same dir replays them
 	// as failed, not as pending work.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -274,32 +285,14 @@ func TestTypedFailuresPersist(t *testing.T) {
 	defer re.Close()
 	states := map[string]string{}
 	for _, j := range re.Jobs() {
-		states[j.ID] = j.State
+		states[j.ID] = j.State + "/" + j.FailKind
 	}
-	if states[st.ID] != StateFailed || states[st2.ID] != StateFailed || states[st3.ID] != StateDone {
-		t.Fatalf("replayed states wrong: %v", states)
-	}
-}
-
-func TestRetryWithBackoffOnRetryable(t *testing.T) {
-	var calls atomic.Int32
-	stub := func(ctx context.Context, c sim.Config) (*sim.Result, error) {
-		if calls.Add(1) < 3 {
-			return nil, exec.Retryable(errors.New("transient flake"))
+	want := map[string]string{st.ID: StateFailed + "/" + FailKindSim, st2.ID: StateFailed + "/" + FailKindPanic,
+		st3.ID: StateDone + "/", st4.ID: StateFailed + "/" + FailKindTimeout}
+	for id, w := range want {
+		if states[id] != w {
+			t.Fatalf("replayed states wrong: %v, want %v", states, want)
 		}
-		return fakeResult(c), nil
-	}
-	s, hs := newTestServer(t, func(c *Config) {
-		c.Retries = 3
-		c.Backoff = time.Millisecond
-	}, stub)
-	_, st := submit(t, hs, tinySpec)
-	waitState(t, hs, st.ID, StateDone)
-	if calls.Load() < 3 {
-		t.Fatalf("stub called %d times, want >= 3 (retries)", calls.Load())
-	}
-	if s.m.retried.Load() == 0 {
-		t.Error("retry metric never moved")
 	}
 }
 

@@ -57,6 +57,30 @@ func TestObservabilityCapture(t *testing.T) {
 	}
 }
 
+// TestTraceMatchesBurstAccounting holds every scheme's trace to its own
+// stats: each DRAM burst the controller accounts is one dram_read or
+// dram_write event, so a scheme cannot issue traffic the trace misses.
+func TestTraceMatchesBurstAccounting(t *testing.T) {
+	for _, scheme := range Schemes() {
+		cfg := quickCfg("lbm06", scheme)
+		cfg.Trace = true
+		r, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", scheme, err)
+		}
+		if r.TraceDropped != 0 {
+			t.Fatalf("%s: %d trace events dropped; raise TraceCapacity", scheme, r.TraceDropped)
+		}
+		counts := obs.CountByKind(r.TraceEvents)
+		if got, want := uint64(counts[obs.KindDRAMRead]), r.Mem.TotalReads(); got != want {
+			t.Errorf("%s: %d dram_read events, %d read bursts accounted", scheme, got, want)
+		}
+		if got, want := uint64(counts[obs.KindDRAMWrite]), r.Mem.TotalWrites(); got != want {
+			t.Errorf("%s: %d dram_write events, %d write bursts accounted", scheme, got, want)
+		}
+	}
+}
+
 // TestObservabilityDeterministicUnderParallel is the contract the per-run
 // registry/tracer design exists for: the metrics JSON and the trace event
 // stream of a scheme must be byte-identical whether the run executed alone

@@ -261,21 +261,16 @@ func New(cfg Config) (*Simulator, error) {
 			memctrl.WithDynamic(cfg.Cores, cfg.SampleFrac, cfg.PerCoreDyn))
 	}
 	if cfg.DecompCycles > 0 {
-		if dc, ok := s.ctrl.(interface{ SetDecompressCycles(int64) }); ok {
-			dc.SetDecompressCycles(cfg.DecompCycles)
-		}
+		s.ctrl.SetDecompressCycles(cfg.DecompCycles)
 	}
 	s.obs, _ = s.ctrl.(prefetchObserver)
 
-	// Observability wiring. The tracer attaches to the controller (every
-	// scheme embeds memctrl's base, which implements SetTracer) and, for
+	// Observability wiring. The tracer attaches to the controller and, for
 	// Dynamic-PTMC, to the policy's flip hook; the registry wraps the live
 	// stats structs behind named series.
 	if cfg.Trace {
 		s.tracer = obs.NewTracer(cfg.TraceCapacity)
-		if st, ok := s.ctrl.(interface{ SetTracer(*obs.Tracer) }); ok {
-			st.SetTracer(s.tracer)
-		}
+		s.ctrl.SetTracer(s.tracer)
 		if p, ok := s.ctrl.(*memctrl.PTMC); ok && p.Dynamic() != nil {
 			tr := s.tracer
 			p.Dynamic().SetFlipHook(func(core int, enabled bool) {
@@ -566,11 +561,12 @@ func (s *Simulator) fillDone(coreID int, paddr mem.LineAddr, c int64) {
 // byte-identical to it (the tested invariant, oracle_test.go).
 //
 // The context is polled every 4096 iterations — cheap enough to be
-// invisible, and what lets a per-point timeout (cmd/sweep -timeout,
-// exec.JobOptions) interrupt a pathological simulation instead of hanging
-// a worker forever. The poll counts iterations, not cycles: a jump can
-// step over every multiple of 4096. Jumps are clamped at the deadline so
-// the maxCycles error reports the same cycle the per-cycle loop would.
+// invisible, and what lets a per-point timeout (cmd/sweep -timeout, the
+// ptmcd job deadline, both via exec.Pool.Run) interrupt a pathological
+// simulation instead of hanging a worker forever. The poll counts
+// iterations, not cycles: a jump can step over every multiple of 4096.
+// Jumps are clamped at the deadline so the maxCycles error reports the
+// same cycle the per-cycle loop would.
 func (s *Simulator) run(ctx context.Context, limit, maxCycles int64) error {
 	for i := range s.cores {
 		s.cores[i].ResetWindow(limit)
@@ -677,7 +673,8 @@ func (s *Simulator) Run() (*Result, error) {
 }
 
 // RunContext is Run with cancellation: the simulation aborts (returning
-// ctx's error) at the next 4096-cycle checkpoint after ctx is done.
+// ctx's error) at the run loop's next context poll after ctx is done; the
+// loop polls every 4096 iterations (see run).
 func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 	const cyclesPerInstr = 400 // generous safety budget
 	runFn := s.run
