@@ -58,6 +58,7 @@ smoke:
 
 fuzz-smoke:
 	$(GO) test ./internal/core/ -run FuzzMarkerClassify -fuzz FuzzMarkerClassify -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server/ -run FuzzStoreReplay -fuzz FuzzStoreReplay -fuzztime $(FUZZTIME)
 
 trace-smoke:
 	out=$$(mktemp -d) && \

@@ -111,7 +111,7 @@ type chaosTrial struct {
 const chaosSegBytes = 512
 
 func (c *chaosTrial) boot(armCrash bool) (*Server, *httptest.Server) {
-	store, err := OpenStoreSegmented(c.dir, chaosSegBytes)
+	store, err := OpenStore(c.dir, chaosSegBytes)
 	if err != nil {
 		c.t.Fatalf("open store over %s: %v", c.dir, err)
 	}

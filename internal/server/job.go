@@ -65,12 +65,8 @@ func (s *JobSpec) Normalize() error {
 	if len(s.Schemes) == 0 {
 		s.Schemes = []string{sim.SchemeDynamicPTMC}
 	}
-	seen := map[string]bool{}
-	for _, sc := range s.Schemes {
-		if seen[sc] {
-			return badRequest(fmt.Sprintf("duplicate scheme %q", sc))
-		}
-		seen[sc] = true
+	if sc, dup := duplicate(s.Schemes); dup {
+		return badRequest(fmt.Sprintf("duplicate scheme %q", sc))
 	}
 	if s.Tenant == "" {
 		s.Tenant = "default"
@@ -213,27 +209,66 @@ type Event struct {
 	Msg  string `json:"msg,omitempty"`
 }
 
-// job is the in-memory record the server tracks per key.
-type job struct {
+// entry is the state a job and a sweep share: identity, lifecycle state,
+// typed failure, and done, closed exactly once on reaching done or failed.
+type entry struct {
 	id   string
+	kind string // "job" | "sweep": the noun in this entry's routes, reasons and messages
+
+	mu       sync.Mutex
+	state    string
+	failKind string
+	errMsg   string
+	done     chan struct{}
+}
+
+func newEntry(kind, id string) entry {
+	return entry{id: id, kind: kind, state: StateAccepted, done: make(chan struct{})}
+}
+
+// tracked is a *job or a *sweep: the two kinds of entry a server keeps.
+type tracked interface{ base() *entry }
+
+func (e *entry) base() *entry { return e }
+
+// snapshot returns e's state and typed failure.
+func (e *entry) snapshot() (state, failKind, errMsg string) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.state, e.failKind, e.errMsg
+}
+
+// finish moves e to done or failed exactly once. announce, when non-nil,
+// runs under e.mu before done closes: a job appends its terminal event
+// there, so a waiter woken by done always finds it.
+func (e *entry) finish(state, failKind, errMsg string, announce func()) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.state == StateDone || e.state == StateFailed {
+		return
+	}
+	e.state, e.failKind, e.errMsg = state, failKind, errMsg
+	if announce != nil {
+		announce()
+	}
+	close(e.done)
+}
+
+// job is the in-memory record the server tracks per job key.
+type job struct {
+	entry
 	spec JobSpec
 
-	mu          sync.Mutex
-	state       string
+	// Guarded by entry.mu.
 	schemesDone int
-	failKind    string
-	errMsg      string
 	replayed    bool
 	requeues    int // in-process settlement retries (backoff exponent)
 	events      []Event
 	subs        map[chan Event]struct{} // live SSE subscribers
-	done        chan struct{}           // closed on done/failed
 }
 
 func newJob(id string, spec JobSpec) *job {
-	j := &job{id: id, spec: spec, state: StateAccepted,
-		subs: make(map[chan Event]struct{}), done: make(chan struct{})}
-	return j
+	return &job{entry: newEntry("job", id), spec: spec, subs: make(map[chan Event]struct{})}
 }
 
 // emit appends one event to the backlog and notifies live subscribers.
@@ -257,29 +292,18 @@ func (j *job) emitLocked(kind, msg string) {
 	}
 }
 
-// finish moves the job to a terminal state exactly once. The terminal
-// event is appended to the backlog in the same critical section that
-// closes j.done: an SSE handler waking on <-j.done is therefore
-// guaranteed to find the done/failed event in backlogAfter, however the
-// wakeup races the emit. (Emitting after the close — the old order — let
-// a handler read the backlog in the window between close and append and
-// end the stream without ever delivering the terminal event.)
+// finish moves the job to a terminal state exactly once, with its
+// done/failed event on the stream before j.done closes: emitting after
+// the close would let an SSE handler woken by it read the backlog before
+// the append and end the stream without the terminal event.
 func (j *job) finish(state, failKind, errMsg string) {
-	j.mu.Lock()
-	if j.state == StateDone || j.state == StateFailed {
-		j.mu.Unlock()
-		return
-	}
-	j.state = state
-	j.failKind = failKind
-	j.errMsg = errMsg
-	if state == StateDone {
-		j.emitLocked("done", "")
-	} else {
-		j.emitLocked("failed", failKind+": "+errMsg)
-	}
-	close(j.done)
-	j.mu.Unlock()
+	j.entry.finish(state, failKind, errMsg, func() {
+		if state == StateDone {
+			j.emitLocked("done", "")
+		} else {
+			j.emitLocked("failed", failKind+": "+errMsg)
+		}
+	})
 }
 
 // subscribe registers a live event channel and returns the backlog events
@@ -346,6 +370,19 @@ func (e *APIError) Error() string { return fmt.Sprintf("%s: %s", e.Reason, e.Msg
 
 func badRequest(msg string) *APIError {
 	return &APIError{Code: 400, Reason: "bad_request", Msg: msg}
+}
+
+// duplicate returns the first value that occurs twice in vs.
+func duplicate[T comparable](vs []T) (T, bool) {
+	seen := make(map[T]bool, len(vs))
+	for _, v := range vs {
+		if seen[v] {
+			return v, true
+		}
+		seen[v] = true
+	}
+	var zero T
+	return zero, false
 }
 
 // canonicalJSON marshals v with deterministic field order (struct order);

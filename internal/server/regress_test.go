@@ -193,7 +193,7 @@ func TestEventsSSEGapHeals(t *testing.T) {
 
 func TestTransientStoreFaultRequeuesInProcess(t *testing.T) {
 	dir := t.TempDir()
-	store, err := OpenStore(dir)
+	store, err := OpenStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func walFiles(t *testing.T, dir string) []string {
 
 func TestStoreRotationBoundsSegments(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStoreSegmented(dir, tinySeg)
+	st, err := OpenStore(dir, tinySeg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestStoreRotationBoundsSegments(t *testing.T) {
 		if err := st.SaveResult(id, []byte(`{}`)); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.CompleteOK(id); err != nil {
+		if err := st.Settle(id, "", ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,12 +54,12 @@ func TestStoreRotationBoundsSegments(t *testing.T) {
 	}
 	st.Close()
 
-	re, err := OpenStoreSegmented(dir, tinySeg)
+	re, err := OpenStore(dir, tinySeg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	got := re.Jobs()
+	got := re.Entries()
 	if len(got) != jobs {
 		t.Fatalf("replayed %d jobs, want %d", len(got), jobs)
 	}
@@ -72,7 +72,7 @@ func TestStoreRotationBoundsSegments(t *testing.T) {
 
 func TestStoreUnsettledSegmentSurvivesCompaction(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStoreSegmented(dir, tinySeg)
+	st, err := OpenStore(dir, tinySeg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestStoreUnsettledSegmentSurvivesCompaction(t *testing.T) {
 		if err := st.SaveResult(id, []byte(`{}`)); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.CompleteOK(id); err != nil {
+		if err := st.Settle(id, "", ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,12 +102,12 @@ func TestStoreUnsettledSegmentSurvivesCompaction(t *testing.T) {
 		t.Fatalf("segment holding an unsettled job was deleted: %v", err)
 	}
 	st.Close()
-	re, err := OpenStoreSegmented(dir, tinySeg)
+	re, err := OpenStore(dir, tinySeg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	for _, j := range re.Jobs() {
+	for _, j := range re.Entries() {
 		want := StateDone
 		if j.ID == "pinned" {
 			want = StateAccepted
@@ -120,7 +120,7 @@ func TestStoreUnsettledSegmentSurvivesCompaction(t *testing.T) {
 
 func TestStoreCrashDuringCompactionLosesNothing(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStoreSegmented(dir, tinySeg)
+	st, err := OpenStore(dir, tinySeg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestStoreCrashDuringCompactionLosesNothing(t *testing.T) {
 		if err := st.SaveResult(id, []byte(`{}`)); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.CompleteOK(id); errors.Is(err, boom) {
+		if err := st.Settle(id, "", ""); errors.Is(err, boom) {
 			crashed = true
 		} else if err != nil {
 			t.Fatal(err)
@@ -162,13 +162,13 @@ func TestStoreCrashDuringCompactionLosesNothing(t *testing.T) {
 
 	// Replay sees the sealed segment AND its summary duplicates; idempotent
 	// apply collapses them to exactly the pre-crash state.
-	re, err := OpenStoreSegmented(dir, tinySeg)
+	re, err := OpenStore(dir, tinySeg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
 	got := map[string]string{}
-	for _, j := range re.Jobs() {
+	for _, j := range re.Entries() {
 		got[j.ID] = j.State
 	}
 	for _, id := range ids {
@@ -183,7 +183,7 @@ func TestStoreCrashDuringCompactionLosesNothing(t *testing.T) {
 
 func TestStoreLegacyWALMigrates(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStore(dir)
+	st, err := OpenStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,12 +196,12 @@ func TestStoreLegacyWALMigrates(t *testing.T) {
 		filepath.Join(dir, "wal.log")); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenStore(dir)
+	re, err := OpenStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if jobs := re.Jobs(); len(jobs) != 1 || jobs[0].ID != "j1" {
+	if jobs := re.Entries(); len(jobs) != 1 || jobs[0].ID != "j1" {
 		t.Fatalf("legacy replay got %d jobs", len(jobs))
 	}
 	if _, err := os.Stat(filepath.Join(dir, "wal.log")); !errors.Is(err, os.ErrNotExist) {
@@ -214,7 +214,7 @@ func TestStoreLegacyWALMigrates(t *testing.T) {
 
 func TestStoreCorruptSealedSegmentDiscardsLaterSegments(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStoreSegmented(dir, tinySeg)
+	st, err := OpenStore(dir, tinySeg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestStoreCorruptSealedSegmentDiscardsLaterSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenStoreSegmented(dir, tinySeg)
+	re, err := OpenStore(dir, tinySeg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,10 +257,10 @@ func TestStoreCorruptSealedSegmentDiscardsLaterSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := &Store{jobs: map[string]*StoredJob{}, sweeps: map[string]*StoredSweep{}}
+	probe := &Store{entries: map[string]*StoredEntry{}}
 	probe.replay(first, nil)
-	if len(re.Jobs()) != len(probe.jobs) {
-		t.Fatalf("replayed %d jobs, want exactly segment 1's %d", len(re.Jobs()), len(probe.jobs))
+	if len(re.Entries()) != len(probe.entries) {
+		t.Fatalf("replayed %d jobs, want exactly segment 1's %d", len(re.Entries()), len(probe.entries))
 	}
 	for _, p := range walFiles(t, dir) {
 		var idx int
@@ -274,13 +274,13 @@ func TestStoreCorruptSealedSegmentDiscardsLaterSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	re.Close()
-	re2, err := OpenStoreSegmented(dir, tinySeg)
+	re2, err := OpenStore(dir, tinySeg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re2.Close()
 	found := false
-	for _, j := range re2.Jobs() {
+	for _, j := range re2.Entries() {
 		if j.ID == "fresh" {
 			found = true
 		}

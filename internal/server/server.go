@@ -66,11 +66,9 @@ type Server struct {
 	// Workers slots never makes a leader wait.
 	flights *exec.Cache[*sim.Result]
 
-	mu         sync.Mutex
-	jobs       map[string]*job
-	order      []string
-	sweeps     map[string]*sweep
-	sweepOrder []string
+	mu      sync.Mutex
+	entries map[string]tracked // every job and sweep, by id
+	order   []string           // entry ids in acceptance order
 
 	baseCtx    context.Context // cancelled on drain: running sims stop at their next context poll
 	cancelRuns context.CancelFunc
@@ -110,7 +108,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("server: Config.Dir is required")
 	}
-	store, err := OpenStoreSegmented(cfg.Dir, cfg.SegmentBytes)
+	store, err := OpenStore(cfg.Dir, cfg.SegmentBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -138,8 +136,7 @@ func newFromStore(cfg Config, store *Store) (*Server, error) {
 		queue:      NewQueue(cfg.QueueCap, cfg.TenantQuota),
 		pool:       pool,
 		flights:    exec.NewCache[*sim.Result](pool),
-		jobs:       make(map[string]*job),
-		sweeps:     make(map[string]*sweep),
+		entries:    make(map[string]tracked),
 		baseCtx:    ctx,
 		cancelRuns: cancel,
 		reg:        obs.NewRegistry(),
@@ -153,88 +150,76 @@ func newFromStore(cfg Config, store *Store) (*Server, error) {
 	context.AfterFunc(ctx, s.queue.Wake)
 	s.registerMetrics()
 
-	// Recovery: every stored job becomes an in-memory record; interrupted
-	// ones re-enter the queue (their persisted spec keeps their priority
-	// class). A pending job whose result artifact already landed (crash
-	// between SaveResult and the done record) completes without re-running
-	// — the artifact is whole by construction.
-	for _, sj := range store.Jobs() {
-		j := newJob(sj.ID, sj.Spec)
-		s.jobs[sj.ID] = j
-		s.order = append(s.order, sj.ID)
-		switch sj.State {
-		case StateDone:
-			j.state = StateDone
-			close(j.done)
-		case StateFailed:
-			j.state = StateFailed
-			j.failKind, j.errMsg = sj.FailKind, sj.Error
-			close(j.done)
-		case StateAccepted:
-			j.replayed = true
-			if store.HasResult(sj.ID) {
-				if err := store.CompleteOK(sj.ID); err == nil {
-					j.state = StateDone
-					close(j.done)
-					j.emit("done", "recovered: artifact found on replay")
-					s.m.recovered.Add(1)
-					continue
-				}
+	// Recovery, in acceptance order: every stored entry becomes an
+	// in-memory job or sweep. Terminal entries stay terminal. A pending
+	// entry whose result artifact already landed (crash between SaveResult
+	// and the done record) settles done without re-running — the artifact
+	// is whole by construction. The rest resume: a job re-enters the queue
+	// (its persisted spec keeps its priority class); a sweep gets its
+	// coordinator back once every entry is tracked. s.mu is held
+	// throughout: a resumed coordinator may look up children while later
+	// ones are still being tracked.
+	s.mu.Lock()
+	var resume []*sweep
+	for _, e := range store.Entries() {
+		var t tracked
+		if e.Job != nil {
+			j := newJob(e.ID, *e.Job)
+			j.replayed = e.State == StateAccepted
+			t = j
+		} else {
+			ids, _ := e.Sweep.children()
+			t = newSweep(e.ID, *e.Sweep, ids)
+		}
+		s.addLocked(t)
+		var announce func()
+		if e.State == StateAccepted && store.HasResult(e.ID) && store.Settle(e.ID, "", "") == nil {
+			e.State = StateDone
+			s.m.recovered.Add(1)
+			if j, ok := t.(*job); ok {
+				announce = func() { j.emitLocked("done", "recovered: artifact found on replay") }
 			}
-			j.emit("replayed", "re-enqueued after restart")
-			s.m.replayed.Add(1)
-			s.queue.EnqueueReplayed(j)
+		}
+		if e.State != StateAccepted {
+			t.base().finish(e.State, e.FailKind, e.Error, announce)
+		} else if j, ok := t.(*job); ok {
+			s.replay(j, "re-enqueued after restart")
+		} else {
+			resume = append(resume, t.(*sweep))
 		}
 	}
-	// Sweep recovery (after jobs: children are ordinary jobs and most were
-	// just handled above). An unfinished sweep gets its coordinator back;
-	// any child missing from the store (torn fan-out batch) is re-accepted
-	// — the fan-out is a deterministic function of the sweep spec.
-	for _, ss := range store.Sweeps() {
-		ids, specs := ss.Spec.children()
-		sw := newSweep(ss.ID, ss.Spec, ids)
-		s.sweeps[ss.ID] = sw
-		s.sweepOrder = append(s.sweepOrder, ss.ID)
-		switch ss.State {
-		case StateDone:
-			sw.state = StateDone
-			close(sw.done)
-		case StateFailed:
-			sw.state, sw.failKind, sw.errMsg = StateFailed, ss.FailKind, ss.Error
-			close(sw.done)
-		case StateAccepted:
-			if store.HasResult(ss.ID) {
-				if err := store.CompleteOK(ss.ID); err == nil {
-					sw.state = StateDone
-					close(sw.done)
-					s.m.recovered.Add(1)
-					continue
-				}
+	// A resumed sweep re-accepts any child missing from the store (torn
+	// fan-out batch) — the fan-out is a deterministic function of its spec.
+	for _, sw := range resume {
+		_, specs := sw.spec.children()
+		for i, cid := range sw.children {
+			if s.entries[cid] != nil {
+				continue
 			}
-			for i, cid := range ids {
-				if _, ok := s.jobs[cid]; ok {
-					continue
-				}
-				if err := store.Accept(cid, specs[i]); err != nil {
-					continue // store wedged; the sweep settles on a later boot
-				}
-				cj := newJob(cid, specs[i])
-				cj.replayed = true
-				s.jobs[cid] = cj
-				s.order = append(s.order, cid)
-				cj.emit("replayed", "sweep child re-accepted after restart")
-				s.m.replayed.Add(1)
-				s.queue.EnqueueReplayed(cj)
+			if err := store.Accept(cid, specs[i]); err != nil {
+				continue // store wedged; the sweep settles on a later boot
 			}
-			s.workers.Add(1)
-			go s.sweepCoordinator(sw)
+			cj := newJob(cid, specs[i])
+			cj.replayed = true
+			s.addLocked(cj)
+			s.replay(cj, "sweep child re-accepted after restart")
 		}
+		s.workers.Add(1)
+		go s.sweepCoordinator(sw)
 	}
+	s.mu.Unlock()
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers.Add(1)
 		go s.worker()
 	}
 	return s, nil
+}
+
+// replay re-enqueues a job accepted in an earlier life.
+func (s *Server) replay(j *job, msg string) {
+	j.emit("replayed", msg)
+	s.m.replayed.Add(1)
+	s.queue.EnqueueReplayed(j)
 }
 
 func (s *Server) registerMetrics() {
@@ -289,13 +274,7 @@ func (s *Server) runJob(j *job) {
 	// already on disk too.)
 	if s.store.HasResult(j.id) {
 		s.m.cacheHits.Add(1)
-		if err := s.store.CompleteOK(j.id); err != nil {
-			s.leaveForReplay(j, err)
-			return
-		}
-		s.m.completed.Add(1)
-		s.queue.Release(j.spec.Tenant)
-		j.finish(StateDone, "", "")
+		s.settle(j, "", "")
 		return
 	}
 
@@ -310,7 +289,8 @@ func (s *Server) runJob(j *job) {
 	}
 	// Per-job tracer: one KindJob span per scheme (wall µs, tid = matrix
 	// index), plus the simulator's own cycle-stamped events when the spec
-	// asked for them. Persisted best-effort after settlement.
+	// asked for them. Persisted best-effort before settlement, so a client
+	// that sees the job done finds it.
 	start := time.Now()
 	tracer := obs.NewTracer(1 << 16)
 	var simEvents []obs.Event
@@ -348,14 +328,8 @@ func (s *Server) runJob(j *job) {
 		s.leaveForReplay(j, err)
 		return
 	}
-	if err := s.store.CompleteOK(j.id); err != nil {
-		s.leaveForReplay(j, err)
-		return
-	}
 	s.saveTrace(j.id, append(tracer.Events(), simEvents...))
-	s.m.completed.Add(1)
-	s.queue.Release(j.spec.Tenant)
-	j.finish(StateDone, "", "")
+	s.settle(j, "", "")
 }
 
 // saveTrace persists the job's Chrome-trace artifact. Best effort: traces
@@ -387,14 +361,25 @@ func (s *Server) settleFailure(j *job, scheme string, err error) {
 	case errors.Is(err, context.Canceled):
 		kind = FailKindCanceled
 	}
-	msg := fmt.Sprintf("%s: %v", scheme, err)
-	if werr := s.store.CompleteFailed(j.id, kind, msg); werr != nil {
-		s.leaveForReplay(j, werr)
+	s.settle(j, kind, fmt.Sprintf("%s: %v", scheme, err))
+}
+
+// settle durably records the job's outcome — done when failKind is empty,
+// else failed with the typed kind — then releases its quota unit and
+// finishes it. A failed store write sends the job back instead.
+func (s *Server) settle(j *job, failKind, msg string) {
+	if err := s.store.Settle(j.id, failKind, msg); err != nil {
+		s.leaveForReplay(j, err)
 		return
 	}
-	s.m.failed.Add(1)
 	s.queue.Release(j.spec.Tenant)
-	j.finish(StateFailed, kind, msg)
+	if failKind != "" {
+		s.m.failed.Add(1)
+		j.finish(StateFailed, failKind, msg)
+		return
+	}
+	s.m.completed.Add(1)
+	j.finish(StateDone, "", "")
 }
 
 // leaveForReplay handles a store write failing mid-settlement. Two cases:
@@ -424,23 +409,30 @@ func (s *Server) leaveForReplay(j *job, err error) {
 	s.queue.Release(j.spec.Tenant)
 	s.m.storeRequeues.Add(1)
 	j.emit("requeued", fmt.Sprintf("store write failed (%v); retrying in-process", err))
-	backoff := s.cfg.Backoff
-	for i := 1; i < n && backoff < 5*time.Second; i++ {
-		backoff *= 2
-	}
-	if backoff > 5*time.Second {
-		backoff = 5 * time.Second
-	}
 	s.workers.Add(1)
 	go func() {
 		defer s.workers.Done()
-		select {
-		case <-time.After(backoff):
+		// On drain the job stays accepted in the WAL; next boot replays it.
+		if s.backoff(n) {
 			s.queue.EnqueueReplayed(j)
-		case <-s.baseCtx.Done():
-			// Drain: the job stays accepted in the WAL; next boot replays it.
 		}
 	}()
+}
+
+// backoff waits before settlement attempt n+1: Config.Backoff doubled per
+// earlier failed attempt, capped at 5s. It reports false if drain cut the
+// wait short.
+func (s *Server) backoff(n int) bool {
+	d := s.cfg.Backoff
+	for i := 1; i < n && d < 5*time.Second; i++ {
+		d *= 2
+	}
+	select {
+	case <-time.After(min(d, 5*time.Second)):
+		return true
+	case <-s.baseCtx.Done():
+		return false
+	}
 }
 
 // sweepCoordinator waits for every child to settle, then aggregates the
@@ -464,33 +456,24 @@ func (s *Server) sweepCoordinator(sw *sweep) {
 		}
 	}
 	data := canonicalJSON(s.buildSweepArtifact(sw))
-	backoff := s.cfg.Backoff
-	for {
-		if s.baseCtx.Err() != nil {
-			return
-		}
+	for n := 1; s.baseCtx.Err() == nil; n++ {
 		err := s.store.SaveResult(sw.id, data)
 		if err == nil {
-			err = s.store.CompleteOK(sw.id)
+			err = s.store.Settle(sw.id, "", "")
 		}
 		if err == nil {
-			break
+			s.m.sweepsDone.Add(1)
+			sw.finish(StateDone, "", "", nil)
+			return
 		}
 		if errors.Is(err, ErrStoreDead) {
 			return
 		}
 		s.m.storeRequeues.Add(1)
-		select {
-		case <-time.After(backoff):
-		case <-s.baseCtx.Done():
+		if !s.backoff(n) {
 			return
 		}
-		if backoff *= 2; backoff > 5*time.Second {
-			backoff = 5 * time.Second
-		}
 	}
-	s.m.sweepsDone.Add(1)
-	sw.finish(StateDone, "", "")
 }
 
 // buildSweepArtifact assembles the aggregate in deterministic matrix
@@ -508,9 +491,8 @@ func (s *Server) buildSweepArtifact(sw *sweep) SweepArtifact {
 				if j == nil {
 					p.State, p.FailKind, p.Error = StateFailed, "internal", "child job missing"
 				} else {
-					st := j.status()
-					p.State, p.FailKind, p.Error = st.State, st.FailKind, st.Error
-					if st.State == StateDone {
+					p.State, p.FailKind, p.Error = j.snapshot()
+					if p.State == StateDone {
 						if data, err := s.store.Result(cid); err == nil {
 							p.Result = json.RawMessage(data)
 						} else {
@@ -555,46 +537,78 @@ func (s *Server) Store() *Store { return s.store }
 // Registry exposes the daemon's metrics registry.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
+// find returns the entry of the given kind ("job" | "sweep") under id, or
+// nil.
+func (s *Server) find(kind, id string) tracked {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if t := s.entries[id]; t != nil && t.base().kind == kind {
+		return t
+	}
+	return nil
+}
+
+// request returns the entry of the given kind named by the request's {id},
+// or writes the 404 and returns nil.
+func (s *Server) request(w http.ResponseWriter, r *http.Request, kind string) tracked {
+	t := s.find(kind, r.PathValue("id"))
+	if t == nil {
+		writeJSON(w, http.StatusNotFound, &APIError{Reason: "unknown_" + kind, Msg: "no such " + kind})
+	}
+	return t
+}
+
 func (s *Server) lookup(id string) *job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs[id]
+	j, _ := s.find("job", id).(*job)
+	return j
 }
 
-func (s *Server) lookupSweep(id string) *sweep {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sweeps[id]
+// addLocked tracks t, whose id is not tracked yet, in acceptance order.
+func (s *Server) addLocked(t tracked) {
+	s.entries[t.base().id] = t
+	s.order = append(s.order, t.base().id)
 }
 
-// sweepStatus snapshots a sweep including its children's progress.
+// status snapshots a job's or a sweep's client-visible state.
+func (s *Server) status(t tracked) any {
+	if j, ok := t.(*job); ok {
+		return j.status()
+	}
+	return s.sweepStatus(t.(*sweep))
+}
+
+// sweepStatus snapshots a sweep's client-visible state, including its
+// children's progress.
 func (s *Server) sweepStatus(sw *sweep) SweepStatus {
+	st := SweepStatus{ID: sw.id, Tenant: sw.spec.Tenant, Points: len(sw.children),
+		Workloads: append([]string(nil), sw.spec.Workloads...),
+		Schemes:   append([]string(nil), sw.spec.Schemes...)}
 	s.mu.Lock()
-	pointsDone := 0
 	for _, cid := range sw.children {
-		if j := s.jobs[cid]; j != nil {
-			if st := j.status(); st.State == StateDone || st.State == StateFailed {
-				pointsDone++
+		if t := s.entries[cid]; t != nil {
+			if state, _, _ := t.base().snapshot(); state == StateDone || state == StateFailed {
+				st.PointsDone++
 			}
 		}
 	}
 	s.mu.Unlock()
-	return sw.status(pointsDone)
+	st.State, st.FailKind, st.Error = sw.snapshot()
+	return st
 }
 
 // Handler returns the HTTP API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
-	mux.HandleFunc("GET /jobs", s.handleList)
-	mux.HandleFunc("GET /jobs/{id}", s.handleStatus)
-	mux.HandleFunc("GET /jobs/{id}/result", s.handleResult)
+	mux.HandleFunc("GET /jobs", s.handleList("job"))
+	mux.HandleFunc("GET /jobs/{id}", s.handleStatus("job"))
+	mux.HandleFunc("GET /jobs/{id}/result", s.handleResult("job"))
 	mux.HandleFunc("GET /jobs/{id}/trace", s.handleTrace)
 	mux.HandleFunc("GET /jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("POST /sweeps", s.handleSweepSubmit)
-	mux.HandleFunc("GET /sweeps", s.handleSweepList)
-	mux.HandleFunc("GET /sweeps/{id}", s.handleSweepStatus)
-	mux.HandleFunc("GET /sweeps/{id}/result", s.handleSweepResult)
+	mux.HandleFunc("GET /sweeps", s.handleList("sweep"))
+	mux.HandleFunc("GET /sweeps/{id}", s.handleStatus("sweep"))
+	mux.HandleFunc("GET /sweeps/{id}/result", s.handleResult("sweep"))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ok\n")
 	})
@@ -622,32 +636,47 @@ func (s *Server) reject(w http.ResponseWriter, err error) {
 	writeJSON(w, ae.Code, ae)
 }
 
+// submission is a submit body: a *JobSpec or a *SweepSpec.
+type submission interface {
+	Normalize() error
+	Key() string
+}
+
+// admit is the intake both submit paths share: decode and normalize the
+// spec (a rejection costs no WAL write), answer a resubmission with the
+// existing entry (same spec, same id), and refuse intake while draining.
+// It returns the new entry's id, or "" once it has written the response.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, kind string, spec submission) string {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(spec); err != nil {
+		s.reject(w, badRequest("invalid JSON: "+err.Error()))
+		return ""
+	}
+	if err := spec.Normalize(); err != nil {
+		s.reject(w, err)
+		return ""
+	}
+	id := spec.Key()
+	if t := s.find(kind, id); t != nil {
+		s.m.dedup.Add(1)
+		writeJSON(w, http.StatusOK, s.status(t))
+		return ""
+	}
+	if s.draining.Load() {
+		s.reject(w, &APIError{Code: 503, Reason: "draining",
+			Msg: "server is draining; resubmit after restart"})
+		return ""
+	}
+	return id
+}
+
 // handleSubmit is the accept path. Order matters: validate (free), check
 // admission (no side effects), durably accept (fsync — this IS the ack),
 // then enqueue. A crash after the WAL append and before the response
 // costs the client a retry of an idempotent submit, never a lost job.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(body).Decode(&spec); err != nil {
-		s.reject(w, badRequest("invalid JSON: "+err.Error()))
-		return
-	}
-	if err := spec.Normalize(); err != nil {
-		s.reject(w, err)
-		return
-	}
-	id := spec.Key()
-
-	// Idempotent resubmission: same spec, same job.
-	if j := s.lookup(id); j != nil {
-		s.m.dedup.Add(1)
-		writeJSON(w, http.StatusOK, j.status())
-		return
-	}
-	if s.draining.Load() {
-		s.reject(w, &APIError{Code: 503, Reason: "draining",
-			Msg: "server is draining; resubmit after restart"})
+	id := s.admit(w, r, "job", &spec)
+	if id == "" {
 		return
 	}
 	if err := s.queue.Reserve(spec.Tenant); err != nil {
@@ -662,18 +691,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	j := newJob(id, spec)
 	s.mu.Lock()
-	if prior, ok := s.jobs[id]; ok {
-		// Two concurrent submits of the same spec raced past lookup; the
+	prior := s.entries[id]
+	if prior == nil {
+		s.addLocked(j)
+	}
+	s.mu.Unlock()
+	if prior != nil {
+		// Two concurrent submits of the same spec raced past admit; the
 		// store accepted idempotently. Share the first job.
-		s.mu.Unlock()
 		s.queue.Abort(spec.Tenant)
 		s.m.dedup.Add(1)
-		writeJSON(w, http.StatusOK, prior.status())
+		writeJSON(w, http.StatusOK, s.status(prior))
 		return
 	}
-	s.jobs[id] = j
-	s.order = append(s.order, id)
-	s.mu.Unlock()
 	s.m.accepted.Add(1)
 	j.emit("accepted", "")
 	// queued goes on the stream before the job is dequeueable, so a worker
@@ -692,24 +722,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // tenant's quota so interactive submissions see the true load.
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec SweepSpec
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(body).Decode(&spec); err != nil {
-		s.reject(w, badRequest("invalid JSON: "+err.Error()))
-		return
-	}
-	if err := spec.Normalize(); err != nil {
-		s.reject(w, err)
-		return
-	}
-	id := spec.Key()
-	if sw := s.lookupSweep(id); sw != nil {
-		s.m.dedup.Add(1)
-		writeJSON(w, http.StatusOK, s.sweepStatus(sw))
-		return
-	}
-	if s.draining.Load() {
-		s.reject(w, &APIError{Code: 503, Reason: "draining",
-			Msg: "server is draining; resubmit after restart"})
+	id := s.admit(w, r, "sweep", &spec)
+	if id == "" {
 		return
 	}
 	ids, specs := spec.children()
@@ -720,22 +734,20 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	sw := newSweep(id, spec, ids)
 	s.mu.Lock()
-	if prior, ok := s.sweeps[id]; ok {
+	if prior := s.entries[id]; prior != nil {
 		s.mu.Unlock()
 		s.m.dedup.Add(1)
-		writeJSON(w, http.StatusOK, s.sweepStatus(prior))
+		writeJSON(w, http.StatusOK, s.status(prior))
 		return
 	}
-	s.sweeps[id] = sw
-	s.sweepOrder = append(s.sweepOrder, id)
+	s.addLocked(sw)
 	var fresh []*job
 	for i, cid := range ids {
-		if _, ok := s.jobs[cid]; ok {
+		if s.entries[cid] != nil {
 			continue // point already known (prior job or overlapping sweep)
 		}
 		cj := newJob(cid, specs[i])
-		s.jobs[cid] = cj
-		s.order = append(s.order, cid)
+		s.addLocked(cj)
 		fresh = append(fresh, cj)
 	}
 	s.mu.Unlock()
@@ -750,101 +762,64 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, s.sweepStatus(sw))
 }
 
-func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	sws := make([]*sweep, 0, len(s.sweepOrder))
-	for _, id := range s.sweepOrder {
-		sws = append(sws, s.sweeps[id])
+// handleList, handleStatus and handleResult serve both entry kinds; kind
+// is "job" or "sweep".
+func (s *Server) handleList(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var ts []tracked
+		s.mu.Lock()
+		for _, id := range s.order {
+			if t := s.entries[id]; t.base().kind == kind {
+				ts = append(ts, t)
+			}
+		}
+		s.mu.Unlock()
+		out := make([]any, 0, len(ts))
+		for _, t := range ts {
+			out = append(out, s.status(t))
+		}
+		writeJSON(w, http.StatusOK, out)
 	}
-	s.mu.Unlock()
-	out := make([]SweepStatus, 0, len(sws))
-	for _, sw := range sws {
-		out = append(out, s.sweepStatus(sw))
-	}
-	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
-	sw := s.lookupSweep(r.PathValue("id"))
-	if sw == nil {
-		writeJSON(w, http.StatusNotFound, &APIError{Reason: "unknown_sweep", Msg: "no such sweep"})
-		return
+func (s *Server) handleStatus(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if t := s.request(w, r, kind); t != nil {
+			writeJSON(w, http.StatusOK, s.status(t))
+		}
 	}
-	writeJSON(w, http.StatusOK, s.sweepStatus(sw))
 }
 
-func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	sw := s.lookupSweep(id)
-	if sw == nil {
-		writeJSON(w, http.StatusNotFound, &APIError{Reason: "unknown_sweep", Msg: "no such sweep"})
-		return
-	}
-	st := s.sweepStatus(sw)
-	switch st.State {
-	case StateFailed:
-		writeJSON(w, http.StatusConflict, &APIError{Reason: "sweep_failed",
-			Msg: st.FailKind + ": " + st.Error})
-	case StateDone:
-		data, err := s.store.Result(id)
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError,
-				&APIError{Reason: "artifact", Msg: err.Error()})
+// handleResult serves the entry's persisted artifact, or says why there is
+// none: a typed failure (409) or not finished yet (404).
+func (s *Server) handleResult(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		t := s.request(w, r, kind)
+		if t == nil {
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(data)
-	default:
-		writeJSON(w, http.StatusNotFound, &APIError{Reason: "not_finished",
-			Msg: fmt.Sprintf("sweep is %s (%d/%d points)", st.State, st.PointsDone, st.Points)})
-	}
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	out := make([]JobStatus, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.jobs[id].status())
-	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		writeJSON(w, http.StatusNotFound, &APIError{Reason: "unknown_job", Msg: "no such job"})
-		return
-	}
-	writeJSON(w, http.StatusOK, j.status())
-}
-
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	j := s.lookup(id)
-	if j == nil {
-		writeJSON(w, http.StatusNotFound, &APIError{Reason: "unknown_job", Msg: "no such job"})
-		return
-	}
-	st := j.status()
-	switch st.State {
-	case StateFailed:
-		writeJSON(w, http.StatusConflict, &APIError{Reason: "job_failed",
-			Msg: st.FailKind + ": " + st.Error})
-		return
-	case StateDone:
-		data, err := s.store.Result(id)
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError,
-				&APIError{Reason: "artifact", Msg: err.Error()})
-			return
+		state, failKind, errMsg := t.base().snapshot()
+		switch state {
+		case StateFailed:
+			writeJSON(w, http.StatusConflict, &APIError{Reason: kind + "_failed",
+				Msg: failKind + ": " + errMsg})
+		case StateDone:
+			data, err := s.store.Result(t.base().id)
+			if err != nil {
+				writeJSON(w, http.StatusInternalServerError,
+					&APIError{Reason: "artifact", Msg: err.Error()})
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			w.Write(data)
+		default:
+			msg := kind + " is " + state
+			if sw, ok := t.(*sweep); ok {
+				st := s.sweepStatus(sw)
+				msg += fmt.Sprintf(" (%d/%d points)", st.PointsDone, st.Points)
+			}
+			writeJSON(w, http.StatusNotFound, &APIError{Reason: "not_finished", Msg: msg})
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(data)
-		return
-	default:
-		writeJSON(w, http.StatusNotFound, &APIError{Reason: "not_finished",
-			Msg: "job is " + st.State})
 	}
 }
 
@@ -853,12 +828,11 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 // cache in a later life keeps the trace its original run saved; a job
 // that never ran in this store (or whose trace write failed) has none.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if j := s.lookup(id); j == nil {
-		writeJSON(w, http.StatusNotFound, &APIError{Reason: "unknown_job", Msg: "no such job"})
+	t := s.request(w, r, "job")
+	if t == nil {
 		return
 	}
-	data, err := s.store.Trace(id)
+	data, err := s.store.Trace(t.base().id)
 	if err != nil {
 		writeJSON(w, http.StatusNotFound, &APIError{Reason: "no_trace",
 			Msg: "no trace artifact for this job (not finished, or trace write was skipped)"})
@@ -894,9 +868,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // event exactly once. The stream closes itself once the job is terminal
 // and fully delivered; the job is unaffected by client lifetime.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
+	j, _ := s.request(w, r, "job").(*job)
 	if j == nil {
-		writeJSON(w, http.StatusNotFound, &APIError{Reason: "unknown_job", Msg: "no such job"})
 		return
 	}
 	fl, ok := w.(http.Flusher)

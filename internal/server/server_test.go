@@ -278,13 +278,13 @@ func TestTypedFailuresPersist(t *testing.T) {
 	if err := s.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenStore(s.cfg.Dir)
+	re, err := OpenStore(s.cfg.Dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
 	states := map[string]string{}
-	for _, j := range re.Jobs() {
+	for _, j := range re.Entries() {
 		states[j.ID] = j.State + "/" + j.FailKind
 	}
 	want := map[string]string{st.ID: StateFailed + "/" + FailKindSim, st2.ID: StateFailed + "/" + FailKindPanic,

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -38,8 +39,8 @@ import (
 // re-applies the same terminal state — so a crash anywhere inside
 // compaction (before the summary, between summary and delete, after the
 // delete) replays to the same state. Long-lived deployments therefore
-// keep O(live jobs) log bytes instead of growing one file forever;
-// Checkpoint (graceful drain) is now just a full compaction.
+// keep O(live jobs) log bytes instead of growing one file forever.
+// Checkpoint (graceful drain) is the same compaction over the whole chain.
 //
 // Crash-recovery state machine (replayed in segment + WAL order):
 //
@@ -89,24 +90,34 @@ type walRecord struct {
 	Error    string     `json:"error,omitempty"`
 }
 
-// StoredJob is one job's durable state after replay.
-type StoredJob struct {
+// StoredEntry is one job's or one sweep's durable state after replay:
+// exactly one of Job and Sweep is set. A sweep's children are not stored
+// with it — they are ordinary job entries, recomputed deterministically
+// from the sweep spec on replay.
+type StoredEntry struct {
 	ID       string
-	Spec     JobSpec
+	Job      *JobSpec
+	Sweep    *SweepSpec
 	State    string // StateAccepted | StateDone | StateFailed
 	FailKind string
 	Error    string
 }
 
-// StoredSweep is one sweep's durable state after replay. Children are
-// not persisted with the sweep — they are ordinary jobs, recomputed
-// deterministically from the spec on replay.
-type StoredSweep struct {
-	ID       string
-	Spec     SweepSpec
-	State    string
-	FailKind string
-	Error    string
+// summary returns the records that replay to e's current state: its
+// accept (or sweep) record, plus its done record once terminal.
+func (e *StoredEntry) summary() []walRecord {
+	recs := []walRecord{{Op: "accept", ID: e.ID, Spec: e.Job}}
+	if e.Sweep != nil {
+		recs[0] = walRecord{Op: "sweep", ID: e.ID, Sweep: e.Sweep}
+	}
+	switch e.State {
+	case StateDone:
+		recs = append(recs, walRecord{Op: "done", ID: e.ID, Status: "ok"})
+	case StateFailed:
+		recs = append(recs, walRecord{Op: "done", ID: e.ID, Status: "failed",
+			FailKind: e.FailKind, Error: e.Error})
+	}
+	return recs
 }
 
 // segment is one WAL file plus the set of job/sweep ids it references
@@ -128,12 +139,10 @@ type Store struct {
 	cur        *segment   // active segment bookkeeping
 	walSize    int64      // bytes in the active segment
 	sealed     []*segment // older segments, oldest first
-	jobs       map[string]*StoredJob
-	order      []string
-	sweeps     map[string]*StoredSweep
-	sweepOrder []string
+	entries    map[string]*StoredEntry
+	order      []string // entry ids in acceptance order
 	dead       bool
-	compacting bool
+	compacting bool // summary appends in flight: rotation waits
 
 	// Truncated reports how many torn/untrustworthy tail bytes replay
 	// discarded — observability for the recovery path, asserted on by the
@@ -154,26 +163,17 @@ type Store struct {
 	fault func(op string) error
 }
 
-// OpenStore opens (creating if needed) the job store in dir with the
-// default segment size and replays the WAL, truncating a torn tail.
-func OpenStore(dir string) (*Store, error) {
-	return OpenStoreSegmented(dir, DefaultSegmentBytes)
-}
-
-// OpenStoreSegmented opens the store with an explicit rotation threshold
-// (tests use tiny segments to force rollover and live compaction).
-func OpenStoreSegmented(dir string, segBytes int64) (*Store, error) {
+// OpenStore opens (creating if needed) the job store in dir and replays
+// the WAL, truncating a torn tail. segBytes is the segment rotation
+// threshold (<= 0 selects DefaultSegmentBytes).
+func OpenStore(dir string, segBytes int64) (*Store, error) {
 	if segBytes <= 0 {
 		segBytes = DefaultSegmentBytes
 	}
 	if err := os.MkdirAll(filepath.Join(dir, "results"), 0o755); err != nil {
 		return nil, fmt.Errorf("server: store: %w", err)
 	}
-	s := &Store{
-		dir: dir, segBytes: segBytes,
-		jobs:   make(map[string]*StoredJob),
-		sweeps: make(map[string]*StoredSweep),
-	}
+	s := &Store{dir: dir, segBytes: segBytes, entries: make(map[string]*StoredEntry)}
 	if err := s.openSegments(); err != nil {
 		return nil, err
 	}
@@ -298,70 +298,41 @@ func (s *Store) replay(data []byte, ids map[string]bool) int64 {
 }
 
 // apply folds one record into the in-memory state (replay rules above).
+// Replay and the live mutations share it, so the store's memory is always
+// what a reopen would rebuild.
 func (s *Store) apply(rec walRecord) {
+	var e *StoredEntry
 	switch rec.Op {
 	case "accept":
-		if rec.Spec == nil {
-			return
-		}
-		if _, ok := s.jobs[rec.ID]; ok {
-			return // idempotent: duplicate accepts collapse
-		}
-		s.jobs[rec.ID] = &StoredJob{ID: rec.ID, Spec: *rec.Spec, State: StateAccepted}
-		s.order = append(s.order, rec.ID)
+		e = &StoredEntry{ID: rec.ID, Job: rec.Spec, State: StateAccepted}
 	case "sweep":
-		if rec.Sweep == nil {
-			return
-		}
-		if _, ok := s.sweeps[rec.ID]; ok {
-			return
-		}
-		s.sweeps[rec.ID] = &StoredSweep{ID: rec.ID, Spec: *rec.Sweep, State: StateAccepted}
-		s.sweepOrder = append(s.sweepOrder, rec.ID)
+		e = &StoredEntry{ID: rec.ID, Sweep: rec.Sweep, State: StateAccepted}
 	case "done":
-		if j, ok := s.jobs[rec.ID]; ok {
-			if rec.Status == "ok" {
-				if s.hasResultFile(rec.ID) {
-					j.State = StateDone
-				}
-				// No artifact: leave pending, the job re-runs deterministically.
-			} else {
-				j.State, j.FailKind, j.Error = StateFailed, rec.FailKind, rec.Error
-			}
-			return
+		// done(ok) without its artifact stays pending: the entry re-runs
+		// deterministically.
+		if d, ok := s.entries[rec.ID]; ok && rec.Status != "ok" {
+			d.State, d.FailKind, d.Error = StateFailed, rec.FailKind, rec.Error
+		} else if ok && s.hasResultFile(rec.ID) {
+			d.State = StateDone
 		}
-		if sw, ok := s.sweeps[rec.ID]; ok {
-			if rec.Status == "ok" {
-				if s.hasResultFile(rec.ID) {
-					sw.State = StateDone
-				}
-			} else {
-				sw.State, sw.FailKind, sw.Error = StateFailed, rec.FailKind, rec.Error
-			}
-		}
+		return
+	default:
+		return
 	}
+	if _, ok := s.entries[rec.ID]; ok || (e.Job == nil && e.Sweep == nil) {
+		return // idempotent: duplicate accepts collapse to the first spec
+	}
+	s.entries[rec.ID] = e
+	s.order = append(s.order, rec.ID)
 }
 
-// Jobs returns every stored job in WAL (acceptance) order.
-func (s *Store) Jobs() []*StoredJob {
+// Entries returns every stored job and sweep in WAL (acceptance) order.
+func (s *Store) Entries() []StoredEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*StoredJob, 0, len(s.order))
+	out := make([]StoredEntry, 0, len(s.order))
 	for _, id := range s.order {
-		j := *s.jobs[id]
-		out = append(out, &j)
-	}
-	return out
-}
-
-// Sweeps returns every stored sweep in WAL (acceptance) order.
-func (s *Store) Sweeps() []*StoredSweep {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*StoredSweep, 0, len(s.sweepOrder))
-	for _, id := range s.sweepOrder {
-		sw := *s.sweeps[id]
-		out = append(out, &sw)
+		out = append(out, *s.entries[id])
 	}
 	return out
 }
@@ -435,7 +406,17 @@ func (s *Store) appendAll(recs []walRecord) error {
 	return nil
 }
 
-func (s *Store) append(rec walRecord) error { return s.appendAll([]walRecord{rec}) }
+// commitLocked durably appends recs as one batch, then folds them into
+// the in-memory state through the same apply that replay uses.
+func (s *Store) commitLocked(recs ...walRecord) error {
+	if err := s.appendAll(recs); err != nil {
+		return err
+	}
+	for _, rec := range recs {
+		s.apply(rec)
+	}
+	return nil
+}
 
 // rotateLocked seals the active segment and opens the next one.
 func (s *Store) rotateLocked() error {
@@ -455,96 +436,64 @@ func (s *Store) rotateLocked() error {
 	return nil
 }
 
-// terminalLocked reports whether id refers to a terminal (or unknown —
-// nothing to lose) job or sweep, and returns its summary records.
-func (s *Store) terminalLocked(id string) (recs []walRecord, terminal bool) {
-	if j, ok := s.jobs[id]; ok {
-		switch j.State {
-		case StateDone:
-			spec := j.Spec
-			return []walRecord{
-				{Op: "accept", ID: id, Spec: &spec},
-				{Op: "done", ID: id, Status: "ok"},
-			}, true
-		case StateFailed:
-			spec := j.Spec
-			return []walRecord{
-				{Op: "accept", ID: id, Spec: &spec},
-				{Op: "done", ID: id, Status: "failed", FailKind: j.FailKind, Error: j.Error},
-			}, true
-		}
-		return nil, false
-	}
-	if sw, ok := s.sweeps[id]; ok {
-		switch sw.State {
-		case StateDone:
-			spec := sw.Spec
-			return []walRecord{
-				{Op: "sweep", ID: id, Sweep: &spec},
-				{Op: "done", ID: id, Status: "ok"},
-			}, true
-		case StateFailed:
-			spec := sw.Spec
-			return []walRecord{
-				{Op: "sweep", ID: id, Sweep: &spec},
-				{Op: "done", ID: id, Status: "failed", FailKind: sw.FailKind, Error: sw.Error},
-			}, true
-		}
-		return nil, false
-	}
-	return nil, true // unknown id: no state to preserve
-}
-
-// maybeCompactLocked removes sealed segments whose every referenced id is
-// terminal. Each victim's live state is first re-persisted as summary
-// records in the active segment (one fsync per victim), then the sealed
-// file is unlinked. Idempotent replay makes every crash window safe:
-// summary-without-delete replays duplicates (collapsed), delete-without-
-// summary cannot happen (the summary is synced first).
+// maybeCompactLocked retires every sealed segment whose referenced ids are
+// all terminal (an id the store does not know has no state to lose).
 func (s *Store) maybeCompactLocked() error {
-	if s.compacting || s.dead {
-		return nil
-	}
-	s.compacting = true
-	defer func() { s.compacting = false }()
+next:
 	for i := 0; i < len(s.sealed); {
 		seg := s.sealed[i]
-		var summary []walRecord
-		settled := true
 		ids := make([]string, 0, len(seg.ids))
 		for id := range seg.ids {
 			ids = append(ids, id)
 		}
 		sort.Strings(ids)
+		var summary []walRecord
 		for _, id := range ids {
-			recs, term := s.terminalLocked(id)
-			if !term {
-				settled = false
-				break
+			e, ok := s.entries[id]
+			if ok && e.State != StateDone && e.State != StateFailed {
+				i++
+				continue next
 			}
-			summary = append(summary, recs...)
-		}
-		if !settled {
-			i++
-			continue
-		}
-		if len(summary) > 0 {
-			if err := s.appendAll(summary); err != nil {
-				return err
+			if ok {
+				summary = append(summary, e.summary()...)
 			}
 		}
-		if err := s.at(CrashDuringCompact); err != nil {
+		if err := s.retireLocked([]*segment{seg}, summary); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// retireLocked compacts victims away: their entries' summary records are
+// appended to the active segment and fsync'd, then the sealed files are
+// unlinked. Replay is idempotent, so a crash between the two replays
+// duplicates that collapse to the same state; an unlink without its
+// summary cannot happen.
+func (s *Store) retireLocked(victims []*segment, summary []walRecord) error {
+	if len(summary) > 0 {
+		// Summaries stay in the active segment: rotating here could seal a
+		// segment of summaries that compaction would then retire again.
+		s.compacting = true
+		err := s.appendAll(summary)
+		s.compacting = false
+		if err != nil {
+			return err
+		}
+	}
+	if err := s.at(CrashDuringCompact); err != nil {
+		return err
+	}
+	for _, seg := range victims {
 		if err := os.Remove(seg.path); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return fmt.Errorf("server: wal compact: %w", err)
 		}
-		if err := syncDir(s.dir); err != nil {
-			return err
-		}
-		s.sealed = append(s.sealed[:i], s.sealed[i+1:]...)
-		s.Compacted++
 	}
+	if err := syncDir(s.dir); err != nil {
+		return err
+	}
+	s.sealed = slices.DeleteFunc(s.sealed, func(seg *segment) bool { return slices.Contains(victims, seg) })
+	s.Compacted += len(victims)
 	return nil
 }
 
@@ -564,103 +513,60 @@ func (s *Store) at(p CrashPoint) error {
 // guaranteed to survive any crash; the HTTP layer acknowledges only then.
 // Accepting an already-stored id is a no-op (idempotent resubmission).
 func (s *Store) Accept(id string, spec JobSpec) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dead {
-		return ErrStoreDead
-	}
-	if _, ok := s.jobs[id]; ok {
-		return nil
-	}
-	if err := s.append(walRecord{Op: "accept", ID: id, Spec: &spec}); err != nil {
-		return err
-	}
-	s.jobs[id] = &StoredJob{ID: id, Spec: spec, State: StateAccepted}
-	s.order = append(s.order, id)
-	return nil
+	return s.accept(walRecord{Op: "accept", ID: id, Spec: &spec})
 }
 
 // AcceptSweep durably records a sweep and every child job it fans out to
 // in ONE batched append (one fsync): when it returns nil the whole fan-out
-// survives any crash. Children whose ids already exist are skipped —
-// dedupe on content keys is what makes a resumed or overlapping sweep
-// free. The sweep record is written last so a torn batch replays as plain
-// orphan jobs (harmless, deterministic) rather than a sweep with missing
-// children; recovery re-accepts missing children either way.
+// survives any crash. The sweep record is written last so a torn batch
+// replays as plain orphan jobs (harmless, deterministic) rather than a
+// sweep with missing children; recovery re-accepts missing children
+// either way.
 func (s *Store) AcceptSweep(id string, spec SweepSpec, childIDs []string, childSpecs []JobSpec) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dead {
-		return ErrStoreDead
-	}
-	if _, ok := s.sweeps[id]; ok {
-		return nil
-	}
-	var recs []walRecord
+	recs := make([]walRecord, 0, len(childIDs)+1)
 	for i, cid := range childIDs {
-		if _, ok := s.jobs[cid]; ok {
-			continue
-		}
 		cs := childSpecs[i]
 		recs = append(recs, walRecord{Op: "accept", ID: cid, Spec: &cs})
 	}
-	recs = append(recs, walRecord{Op: "sweep", ID: id, Sweep: &spec})
-	if err := s.appendAll(recs); err != nil {
-		return err
-	}
-	for i, cid := range childIDs {
-		if _, ok := s.jobs[cid]; ok {
-			continue
+	return s.accept(append(recs, walRecord{Op: "sweep", ID: id, Sweep: &spec})...)
+}
+
+// accept durably appends, as one batch, the records whose ids are not yet
+// stored. Skipping stored ids — dedupe on content keys — is what makes
+// resubmission idempotent and a resumed or overlapping sweep free.
+func (s *Store) accept(recs ...walRecord) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fresh := recs[:0]
+	for _, rec := range recs {
+		if _, ok := s.entries[rec.ID]; !ok {
+			fresh = append(fresh, rec)
 		}
-		s.jobs[cid] = &StoredJob{ID: cid, Spec: childSpecs[i], State: StateAccepted}
-		s.order = append(s.order, cid)
 	}
-	s.sweeps[id] = &StoredSweep{ID: id, Spec: spec, State: StateAccepted}
-	s.sweepOrder = append(s.sweepOrder, id)
-	return nil
+	if len(fresh) == 0 {
+		return nil
+	}
+	return s.commitLocked(fresh...)
 }
 
-// CompleteOK durably marks the job (or sweep) done. The result artifact
-// must have been saved first (SaveResult); the ordering is what makes
-// "done" imply "result readable" across any crash. Settlement is also the
-// live-compaction trigger: a terminal record is what lets a sealed
-// segment become fully settled.
-func (s *Store) CompleteOK(id string) error {
+// Settle durably records an entry's terminal state: done when failKind is
+// empty, else failed with the typed kind and message. A done entry's
+// result artifact must have been saved first (SaveResult); that ordering
+// is what makes "done" imply "result readable" across any crash.
+// Settlement is also the live-compaction trigger: a terminal record is
+// what lets a sealed segment become fully settled.
+func (s *Store) Settle(id, failKind, msg string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, jok := s.jobs[id]
-	sw, sok := s.sweeps[id]
-	if !jok && !sok {
-		return fmt.Errorf("server: complete: unknown job %s", id)
+	if _, ok := s.entries[id]; !ok {
+		return fmt.Errorf("server: settle: unknown entry %s", id)
 	}
-	if err := s.append(walRecord{Op: "done", ID: id, Status: "ok"}); err != nil {
+	rec := walRecord{Op: "done", ID: id, Status: "ok"}
+	if failKind != "" {
+		rec = walRecord{Op: "done", ID: id, Status: "failed", FailKind: failKind, Error: msg}
+	}
+	if err := s.commitLocked(rec); err != nil {
 		return err
-	}
-	if jok {
-		j.State = StateDone
-	} else {
-		sw.State = StateDone
-	}
-	return s.maybeCompactLocked()
-}
-
-// CompleteFailed durably records a typed failure for a job or sweep.
-func (s *Store) CompleteFailed(id, failKind, msg string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, jok := s.jobs[id]
-	sw, sok := s.sweeps[id]
-	if !jok && !sok {
-		return fmt.Errorf("server: complete: unknown job %s", id)
-	}
-	rec := walRecord{Op: "done", ID: id, Status: "failed", FailKind: failKind, Error: msg}
-	if err := s.append(rec); err != nil {
-		return err
-	}
-	if jok {
-		j.State, j.FailKind, j.Error = StateFailed, failKind, msg
-	} else {
-		sw.State, sw.FailKind, sw.Error = StateFailed, failKind, msg
 	}
 	return s.maybeCompactLocked()
 }
@@ -752,68 +658,25 @@ func (s *Store) HasResult(id string) bool {
 	return s.hasResultFile(id)
 }
 
-// Checkpoint compacts the whole WAL to one summary per job/sweep in a
-// fresh segment, removing every older segment. Atomic: the new segment is
-// written tmp+rename before the old ones are deleted, and replay collapses
-// any crash-window duplicates. Called on graceful drain so a restart
-// replays a minimal queue.
+// Checkpoint compacts the whole WAL on graceful drain, so a restart
+// replays a minimal queue: it rotates to a fresh segment, appends every
+// entry's summary there in one batched fsync, then retires every older
+// segment. It is live compaction over the whole chain, with the same
+// crash argument.
 func (s *Store) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dead {
+	if s.dead || s.wal == nil {
 		return ErrStoreDead
 	}
-	var buf []byte
-	add := func(rec walRecord) { buf = append(buf, frame(rec)...) }
+	if err := s.rotateLocked(); err != nil {
+		return err
+	}
+	var summary []walRecord
 	for _, id := range s.order {
-		j := s.jobs[id]
-		spec := j.Spec
-		add(walRecord{Op: "accept", ID: id, Spec: &spec})
-		switch j.State {
-		case StateDone:
-			add(walRecord{Op: "done", ID: id, Status: "ok"})
-		case StateFailed:
-			add(walRecord{Op: "done", ID: id, Status: "failed",
-				FailKind: j.FailKind, Error: j.Error})
-		}
+		summary = append(summary, s.entries[id].summary()...)
 	}
-	for _, id := range s.sweepOrder {
-		sw := s.sweeps[id]
-		spec := sw.Spec
-		add(walRecord{Op: "sweep", ID: id, Sweep: &spec})
-		switch sw.State {
-		case StateDone:
-			add(walRecord{Op: "done", ID: id, Status: "ok"})
-		case StateFailed:
-			add(walRecord{Op: "done", ID: id, Status: "failed",
-				FailKind: sw.FailKind, Error: sw.Error})
-		}
-	}
-	nextIdx := s.cur.index + 1
-	nextPath := s.segPath(nextIdx)
-	if err := writeFileAtomic(nextPath, buf); err != nil {
-		return err
-	}
-	// The compacted segment is durable; retire everything older.
-	old := append(append([]*segment(nil), s.sealed...), s.cur)
-	s.wal.Close()
-	for _, seg := range old {
-		if err := os.Remove(seg.path); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("server: checkpoint: %w", err)
-		}
-		s.Compacted++
-	}
-	if err := syncDir(s.dir); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(nextPath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("server: checkpoint: reopen: %w", err)
-	}
-	s.sealed = nil
-	s.cur = &segment{index: nextIdx, path: nextPath, ids: map[string]bool{}}
-	s.wal, s.walSize = f, int64(len(buf))
-	return nil
+	return s.retireLocked(slices.Clone(s.sealed), summary)
 }
 
 // Close releases the WAL handle (no flush needed: every append synced).

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"ptmc/internal/sim"
 )
@@ -48,19 +47,14 @@ func (s *SweepSpec) Normalize() error {
 	if len(s.Seeds) == 0 {
 		s.Seeds = []int64{sim.Default().Seed}
 	}
-	seenW := map[string]bool{}
-	for _, w := range s.Workloads {
-		if seenW[w] {
-			return badRequest(fmt.Sprintf("duplicate workload %q", w))
-		}
-		seenW[w] = true
+	if w, dup := duplicate(s.Workloads); dup {
+		return badRequest(fmt.Sprintf("duplicate workload %q", w))
 	}
-	seenSd := map[int64]bool{}
-	for _, sd := range s.Seeds {
-		if seenSd[sd] {
-			return badRequest(fmt.Sprintf("duplicate seed %d", sd))
-		}
-		seenSd[sd] = true
+	if sc, dup := duplicate(s.Schemes); dup {
+		return badRequest(fmt.Sprintf("duplicate scheme %q", sc))
+	}
+	if sd, dup := duplicate(s.Seeds); dup {
+		return badRequest(fmt.Sprintf("duplicate seed %d", sd))
 	}
 	if s.Tenant == "" {
 		s.Tenant = "default"
@@ -154,52 +148,16 @@ type SweepStatus struct {
 }
 
 // sweep is the in-memory record the server tracks per sweep key. Child
-// jobs are ordinary jobs in s.jobs; the sweep holds their ids in matrix
-// order. A sweep settles "done" even when points failed — per-point
+// jobs are ordinary jobs on the server; the sweep holds their ids in
+// matrix order. A sweep settles "done" even when points failed — per-point
 // failures are recorded in the artifact (degrade gracefully, never
 // silently) — and "failed" only when the aggregate itself cannot settle.
 type sweep struct {
-	id       string
+	entry
 	spec     SweepSpec
 	children []string
-
-	mu       sync.Mutex
-	state    string
-	failKind string
-	errMsg   string
-	done     chan struct{} // closed on done/failed
 }
 
 func newSweep(id string, spec SweepSpec, children []string) *sweep {
-	return &sweep{id: id, spec: spec, children: children,
-		state: StateAccepted, done: make(chan struct{})}
-}
-
-// finish moves the sweep to a terminal state exactly once.
-func (sw *sweep) finish(state, failKind, errMsg string) {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	if sw.state == StateDone || sw.state == StateFailed {
-		return
-	}
-	sw.state, sw.failKind, sw.errMsg = state, failKind, errMsg
-	close(sw.done)
-}
-
-// status snapshots the client-visible state; pointsDone is supplied by
-// the server (it owns the child jobs).
-func (sw *sweep) status(pointsDone int) SweepStatus {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return SweepStatus{
-		ID:         sw.id,
-		State:      sw.state,
-		Tenant:     sw.spec.Tenant,
-		Workloads:  append([]string(nil), sw.spec.Workloads...),
-		Schemes:    append([]string(nil), sw.spec.Schemes...),
-		Points:     len(sw.children),
-		PointsDone: pointsDone,
-		FailKind:   sw.failKind,
-		Error:      sw.errMsg,
-	}
+	return &sweep{entry: newEntry("sweep", id), spec: spec, children: children}
 }

@@ -88,6 +88,7 @@ func TestSweepSpecNormalizeDefaultsAndBounds(t *testing.T) {
 		{},
 		{Workloads: []string{"lbm06", "lbm06"}},
 		{Workloads: []string{"lbm06"}, Seeds: []int64{3, 3}},
+		{Workloads: []string{"lbm06"}, Schemes: []string{"ptmc", "ptmc"}},
 		{Workloads: []string{"no-such-workload"}},
 		{Workloads: []string{"lbm06"}, Schemes: []string{"no-such-scheme"}},
 	}
