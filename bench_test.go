@@ -8,10 +8,11 @@ package ptmc
 //
 //	go test -bench=. -benchmem
 //
-// All benchmarks share one result cache, so the suite pays for each
+// All benchmarks share one memoizing runner, so the suite pays for each
 // (workload, scheme) simulation once.
 
 import (
+	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -42,55 +43,56 @@ var (
 	benchRunner     *paper.Runner
 )
 
-// runner returns the shared, result-caching experiment runner.
+// runner returns the shared, result-memoizing experiment runner.
 func runner() *paper.Runner {
 	benchRunnerOnce.Do(func() {
-		benchRunner = paper.NewRunner(benchOptions(), io.Discard)
+		benchRunner = paper.NewRunner(benchOptions(), io.Discard, 0)
 	})
 	return benchRunner
 }
 
-// speedup fetches the cached weighted speedup of scheme over baseline.
+// variantPair runs (or recalls) wl's uncompressed baseline and scheme
+// under one config variant and returns both results.
+func variantPair(b *testing.B, wl, scheme, variant string, mutate func(*sim.Config)) (base, res *sim.Result) {
+	b.Helper()
+	r := runner()
+	if err := r.Run(paper.Job{Workload: wl, Scheme: sim.SchemeUncompressed, Variant: variant, Mutate: mutate},
+		paper.Job{Workload: wl, Scheme: scheme, Variant: variant, Mutate: mutate}); err != nil {
+		b.Fatal(err)
+	}
+	return r.Result(wl, sim.SchemeUncompressed, variant), r.Result(wl, scheme, variant)
+}
+
+// pair is variantPair on the unmodified config.
+func pair(b *testing.B, wl, scheme string) (base, res *sim.Result) {
+	b.Helper()
+	return variantPair(b, wl, scheme, "", nil)
+}
+
+// speedup returns the weighted speedup of scheme over baseline.
 func speedup(b *testing.B, wl, scheme string) float64 {
 	b.Helper()
-	base, err := runner().Result(wl, sim.SchemeUncompressed, "", nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := runner().Result(wl, scheme, "", nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	base, res := pair(b, wl, scheme)
 	return res.WeightedSpeedupOver(base)
 }
 
 func BenchmarkTableI_Config(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := paper.NewRunner(benchOptions(), io.Discard)
+		r := paper.NewRunner(benchOptions(), io.Discard, 0)
 		r.TableI()
 	}
 }
 
 func BenchmarkTableII_WorkloadCharacteristics(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := runner().Result("mcf06", sim.SchemeUncompressed, "", nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res, _ := pair(b, "mcf06", sim.SchemeUncompressed)
 		b.ReportMetric(res.MPKI, "mcf-mpki")
 	}
 }
 
 func BenchmarkFigure4_MetadataBandwidth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		base, err := runner().Result("pr-twitter", sim.SchemeUncompressed, "", nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tt, err := runner().Result("pr-twitter", sim.SchemeTableTMC, "", nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		base, tt := pair(b, "pr-twitter", sim.SchemeTableTMC)
 		meta := float64(tt.Mem.MetadataReads+tt.Mem.MetadataWrites) / float64(base.Mem.Total())
 		b.ReportMetric(meta, "graph-metadata-bw")
 	}
@@ -105,7 +107,7 @@ func BenchmarkFigure5_IdealVsTable(b *testing.B) {
 
 func BenchmarkFigure6_PairCompressibility(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := paper.NewRunner(benchOptions(), io.Discard)
+		r := paper.NewRunner(benchOptions(), io.Discard, 0)
 		if err := r.Figure6(); err != nil {
 			b.Fatal(err)
 		}
@@ -114,14 +116,8 @@ func BenchmarkFigure6_PairCompressibility(b *testing.B) {
 
 func BenchmarkFigure9_LLPAccuracy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pt, err := runner().Result("lbm06", sim.SchemePTMC, "", nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tt, err := runner().Result("lbm06", sim.SchemeTableTMC, "", nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		_, pt := pair(b, "lbm06", sim.SchemePTMC)
+		_, tt := pair(b, "lbm06", sim.SchemeTableTMC)
 		b.ReportMetric(100*pt.LLPAccuracy, "llp-pct")
 		b.ReportMetric(100*tt.MCacheHitRate, "mcache-pct")
 	}
@@ -136,14 +132,7 @@ func BenchmarkFigure12_PTMCvsTMC(b *testing.B) {
 
 func BenchmarkFigure14_PTMCBandwidth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		base, err := runner().Result("pr-twitter", sim.SchemeUncompressed, "", nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pt, err := runner().Result("pr-twitter", sim.SchemePTMC, "", nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		base, pt := pair(b, "pr-twitter", sim.SchemePTMC)
 		maint := float64(pt.Mem.CleanCompIntoW+pt.Mem.Invalidates) / float64(base.Mem.Total())
 		b.ReportMetric(maint, "graph-maint-bw")
 	}
@@ -165,7 +154,7 @@ func BenchmarkFigure15_Dynamic(b *testing.B) {
 
 func BenchmarkTableIII_StorageOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := paper.NewRunner(benchOptions(), io.Discard)
+		r := paper.NewRunner(benchOptions(), io.Discard, 0)
 		r.TableIII()
 	}
 }
@@ -189,14 +178,7 @@ func BenchmarkFigure17_AllWorkloads(b *testing.B) {
 
 func BenchmarkFigure18_Energy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		base, err := runner().Result("lbm06", sim.SchemeUncompressed, "", nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dyn, err := runner().Result("lbm06", sim.SchemeDynamicPTMC, "", nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		base, dyn := pair(b, "lbm06", sim.SchemeDynamicPTMC)
 		b.ReportMetric(dyn.Energy.TotalJ/base.Energy.TotalJ, "energy-ratio")
 		b.ReportMetric(dyn.Energy.EDP/base.Energy.EDP, "edp-ratio")
 	}
@@ -205,32 +187,17 @@ func BenchmarkFigure18_Energy(b *testing.B) {
 func BenchmarkTableIV_Channels(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, ch := range []int{1, 2, 4} {
-			ch := ch
-			variant := "ch" + string(rune('0'+ch))
-			mutate := func(c *sim.Config) { c.DRAM.Channels = ch }
-			base, err := runner().Result("lbm06", sim.SchemeUncompressed, variant, mutate)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dyn, err := runner().Result("lbm06", sim.SchemeDynamicPTMC, variant, mutate)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(dyn.WeightedSpeedupOver(base), "speedup-ch"+string(rune('0'+ch)))
+			variant := fmt.Sprintf("ch%d", ch)
+			base, dyn := variantPair(b, "lbm06", sim.SchemeDynamicPTMC, variant,
+				func(c *sim.Config) { c.DRAM.Channels = ch })
+			b.ReportMetric(dyn.WeightedSpeedupOver(base), "speedup-"+variant)
 		}
 	}
 }
 
 func BenchmarkTableV_L3HitRate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		base, err := runner().Result("libquantum06", sim.SchemeUncompressed, "", nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dyn, err := runner().Result("libquantum06", sim.SchemeDynamicPTMC, "", nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		base, dyn := pair(b, "libquantum06", sim.SchemeDynamicPTMC)
 		b.ReportMetric(100*base.L3.HitRate(), "l3hit-base-pct")
 		b.ReportMetric(100*dyn.L3.HitRate(), "l3hit-dyn-pct")
 	}
@@ -331,7 +298,7 @@ func BenchmarkFigure4Parallel(b *testing.B) {
 		workers := workers
 		b.Run(string(rune('0'+workers)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := paper.NewParallelRunner(opts, io.Discard, workers)
+				r := paper.NewRunner(opts, io.Discard, workers)
 				if err := r.Figure4(); err != nil {
 					b.Fatal(err)
 				}

@@ -13,7 +13,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -34,15 +33,8 @@ func main() {
 		quiet    = flag.Bool("quiet", false, "suppress per-run progress lines")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
 			"max concurrent simulations (output is identical at any value)")
-
-		metricsOut = flag.String("metrics", "",
-			"run an instrumented reference simulation (-obs-workload, dynamic-ptmc) and write its snapshot series here")
-		metricsIval = flag.Int64("metrics-interval", 10_000, "snapshot window in CPU cycles (with -metrics)")
-		traceOut    = flag.String("trace", "",
-			"write the reference simulation's controller events here (Chrome trace-event JSON)")
-		obsWorkload = flag.String("obs-workload", "lbm06", "workload for the -metrics/-trace reference run")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		poolStats   = flag.Bool("poolstats", false, "print worker-pool queue-wait/run-time histograms at exit")
+		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+		poolStats = flag.Bool("poolstats", false, "print worker-pool queue-wait/run-time histograms at exit")
 	)
 	flag.Parse()
 
@@ -71,7 +63,7 @@ func main() {
 	opts.Seed = *seed
 	opts.Silent = *quiet
 
-	r := paper.NewParallelRunner(opts, os.Stdout, *parallel)
+	r := paper.NewRunner(opts, os.Stdout, *parallel)
 
 	type experiment struct {
 		name string
@@ -121,57 +113,9 @@ func main() {
 		}
 	}
 
-	// The experiment tables aggregate across dozens of runs, so the
-	// observability artifacts come from one dedicated reference run at the
-	// harness horizon rather than from every table cell.
-	if *metricsOut != "" || *traceOut != "" {
-		cfg := ptmc.DefaultConfig()
-		cfg.Workload = *obsWorkload
-		cfg.Scheme = ptmc.SchemeDynamicPTMC
-		cfg.Cores = opts.Cores
-		cfg.WarmupInstr = opts.Warmup
-		cfg.MeasureInstr = opts.Measure
-		cfg.Seed = opts.Seed
-		if *metricsOut != "" {
-			cfg.MetricsInterval = *metricsIval
-		}
-		cfg.Trace = *traceOut != ""
-		res, err := ptmc.Run(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: reference run: %v\n", err)
-			os.Exit(1)
-		}
-		if *metricsOut != "" {
-			writeFile(*metricsOut, res.Metrics.WriteJSON)
-		}
-		if *traceOut != "" {
-			writeFile(*traceOut, func(w io.Writer) error {
-				return ptmc.WriteChromeTrace(w, res.TraceEvents)
-			})
-			fmt.Printf("trace: %d events (%d dropped) -> %s\n",
-				len(res.TraceEvents), res.TraceDropped, *traceOut)
-		}
-	}
-
 	if *poolStats {
 		fmt.Println(r.Pool().QueueWait())
 		fmt.Println(r.Pool().RunTime())
 	}
 	fmt.Printf("\npaperbench complete in %v\n", time.Since(start).Round(time.Second))
-}
-
-// writeFile writes one observability artifact, exiting on failure so a
-// requested -metrics/-trace file is never silently missing or truncated.
-func writeFile(path string, write func(io.Writer) error) {
-	f, err := os.Create(path)
-	if err == nil {
-		err = write(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "paperbench: write %s: %v\n", path, err)
-		os.Exit(1)
-	}
 }

@@ -8,16 +8,11 @@
 // With -baseline, the uncompressed baseline runs too and the weighted
 // speedup is reported. -list prints the available workloads and schemes.
 //
-// With -inject N, ptmcsim instead runs an N-trial fault-injection campaign
-// against the controller (seeded by -seed) and fails if any injected fault
-// goes undetected without being harmless; cmd/faultprobe exposes the full
-// campaign surface.
-//
 // Observability (see EXPERIMENTS.md "Observability"): -metrics out.json
 // writes the per-window stats snapshot time series, -trace out.trace writes
 // a Chrome trace-event file of controller events (load in chrome://tracing
 // or Perfetto), and -pprof addr serves net/http/pprof while the run
-// executes. All three also work in -inject mode.
+// executes. Fault-injection campaigns live in cmd/faultprobe.
 package main
 
 import (
@@ -44,7 +39,6 @@ func main() {
 		l3MB         = flag.Int("l3mb", 8, "LLC size in MB")
 		seed         = flag.Int64("seed", 1, "deterministic run seed")
 		list         = flag.Bool("list", false, "list workloads and schemes, then exit")
-		inject       = flag.Int("inject", 0, "run an N-trial fault-injection campaign instead of a simulation")
 		parallel     = flag.Int("parallel", runtime.GOMAXPROCS(0),
 			"max concurrent scheme simulations")
 		metricsOut  = flag.String("metrics", "", "write the metrics snapshot time series to this JSON file")
@@ -69,38 +63,6 @@ func main() {
 		for _, w := range ptmc.Workloads() {
 			fmt.Println("  " + w)
 		}
-		return
-	}
-
-	if *inject > 0 {
-		rep, err := ptmc.RunFaultCampaign(context.Background(), ptmc.FaultConfig{
-			Trials:  *inject,
-			Seed:    *seed,
-			Dynamic: *scheme == ptmc.SchemeDynamicPTMC,
-			Trace:   *traceOut != "",
-			Metrics: *metricsOut != "",
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ptmcsim:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("fault campaign: %d trials, seed %d\n", len(rep.Trials), *seed)
-		fmt.Print(rep.Summary())
-		if *metricsOut != "" {
-			writeFile(*metricsOut, "metrics", rep.Metrics.WriteJSON)
-		}
-		if *traceOut != "" {
-			writeFile(*traceOut, "trace", func(w io.Writer) error {
-				return ptmc.WriteChromeTrace(w, rep.TraceEvents)
-			})
-			fmt.Printf("trace: %d events (%d dropped) -> %s\n",
-				len(rep.TraceEvents), rep.TraceDropped, *traceOut)
-		}
-		if rep.Silent != 0 {
-			fmt.Fprintf(os.Stderr, "ptmcsim: %d SILENT corruptions\n", rep.Silent)
-			os.Exit(1)
-		}
-		fmt.Println("no silent corruptions")
 		return
 	}
 

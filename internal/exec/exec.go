@@ -7,7 +7,9 @@
 //     conversion and run-time accounting;
 //   - Cache: a singleflight-deduplicated, mutex-guarded memoization table,
 //     so concurrent requests for the same key execute the computation
-//     exactly once (through Pool.Run) and everyone shares the result;
+//     exactly once (through Pool.Run) and everyone shares the result. It
+//     serves only the daemon, whose concurrent jobs share points; the
+//     paper harness keeps a plain memo and runs batches on ForEach;
 //   - Pool.ForEach: a deterministic fan-out helper that runs an indexed
 //     job set over the pool and cancels the remainder on first error.
 //

@@ -18,19 +18,13 @@ import (
 func (r *Runner) Figure4() error {
 	r.header("Figure 4: bandwidth of Table-TMC, normalized to uncompressed")
 	fmt.Fprintf(r.Out, "%-14s %8s %8s %8s %8s\n", "workload", "data", "extraWr", "metadata", "total")
-	wls := append(append([]string{}, r.Opts.spec()...), r.Opts.graph()...)
-	if err := r.Prefetch(jobsFor(wls, sim.SchemeUncompressed, sim.SchemeTableTMC)...); err != nil {
+	wls := r.specGraph()
+	if err := r.Run(jobsFor(wls, sim.SchemeUncompressed, sim.SchemeTableTMC)...); err != nil {
 		return err
 	}
 	for _, wl := range wls {
-		base, err := r.Result(wl, sim.SchemeUncompressed, "", nil)
-		if err != nil {
-			return err
-		}
-		tt, err := r.Result(wl, sim.SchemeTableTMC, "", nil)
-		if err != nil {
-			return err
-		}
+		base := r.Result(wl, sim.SchemeUncompressed, "")
+		tt := r.Result(wl, sim.SchemeTableTMC, "")
 		norm := float64(base.Mem.Total())
 		data := float64(tt.Mem.DemandReads+tt.Mem.DirtyWrites) / norm
 		extra := float64(tt.Mem.CleanCompIntoW) / norm
@@ -47,20 +41,13 @@ func (r *Runner) Figure4() error {
 func (r *Runner) Figure5() error {
 	r.header("Figure 5: speedup of Ideal TMC vs TMC-with-metadata")
 	fmt.Fprintf(r.Out, "%-14s %10s %10s\n", "workload", "ideal", "table-tmc")
-	wls := append(append([]string{}, r.Opts.spec()...), r.Opts.graph()...)
-	if err := r.Prefetch(jobsFor(wls, sim.SchemeUncompressed, sim.SchemeIdeal, sim.SchemeTableTMC)...); err != nil {
+	wls := r.specGraph()
+	if err := r.Run(jobsFor(wls, sim.SchemeUncompressed, sim.SchemeIdeal, sim.SchemeTableTMC)...); err != nil {
 		return err
 	}
 	var ideals, tables []float64
 	for _, wl := range wls {
-		si, err := r.speedup(wl, sim.SchemeIdeal)
-		if err != nil {
-			return err
-		}
-		st, err := r.speedup(wl, sim.SchemeTableTMC)
-		if err != nil {
-			return err
-		}
+		si, st := r.speedup(wl, sim.SchemeIdeal), r.speedup(wl, sim.SchemeTableTMC)
 		ideals = append(ideals, si)
 		tables = append(tables, st)
 		fmt.Fprintf(r.Out, "%-14s %10.3f %10.3f\n", wl, si, st)
@@ -78,7 +65,7 @@ func (r *Runner) Figure6() error {
 	r.header("Figure 6: fraction of adjacent pairs compressing to 64B / 60B")
 	fmt.Fprintf(r.Out, "%-14s %10s %10s\n", "workload", "to-64B", "to-60B")
 	alg := compress.Hybrid{}
-	wls := append(append([]string{}, r.Opts.spec()...), r.Opts.graph()...)
+	wls := r.specGraph()
 	// The offline pair scan is CPU-bound with no shared state, so each
 	// workload's row computes in parallel; rows print in workload order
 	// afterwards so the report bytes match a serial run.
@@ -132,20 +119,13 @@ func (r *Runner) Figure6() error {
 func (r *Runner) Figure9() error {
 	r.header("Figure 9: metadata-cache hit rate vs LLP accuracy")
 	fmt.Fprintf(r.Out, "%-14s %10s %10s\n", "workload", "mcache", "LLP")
-	wls := append(append([]string{}, r.Opts.spec()...), r.Opts.graph()...)
-	if err := r.Prefetch(jobsFor(wls, sim.SchemeTableTMC, sim.SchemePTMC)...); err != nil {
+	wls := r.specGraph()
+	if err := r.Run(jobsFor(wls, sim.SchemeTableTMC, sim.SchemePTMC)...); err != nil {
 		return err
 	}
 	var mc, llp []float64
 	for _, wl := range wls {
-		tt, err := r.Result(wl, sim.SchemeTableTMC, "", nil)
-		if err != nil {
-			return err
-		}
-		pt, err := r.Result(wl, sim.SchemePTMC, "", nil)
-		if err != nil {
-			return err
-		}
+		tt, pt := r.Result(wl, sim.SchemeTableTMC, ""), r.Result(wl, sim.SchemePTMC, "")
 		mc = append(mc, tt.MCacheHitRate)
 		llp = append(llp, pt.LLPAccuracy)
 		fmt.Fprintf(r.Out, "%-14s %9.1f%% %9.1f%%\n",
@@ -167,20 +147,13 @@ func (r *Runner) Figure9() error {
 func (r *Runner) Figure12() error {
 	r.header("Figure 12: speedup of Table-TMC vs PTMC (inline metadata + LLP)")
 	fmt.Fprintf(r.Out, "%-14s %10s %10s\n", "workload", "table-tmc", "ptmc")
-	wls := r.figure12Set()
-	if err := r.Prefetch(jobsFor(wls, sim.SchemeUncompressed, sim.SchemeTableTMC, sim.SchemePTMC)...); err != nil {
+	wls := r.specGraphMix()
+	if err := r.Run(jobsFor(wls, sim.SchemeUncompressed, sim.SchemeTableTMC, sim.SchemePTMC)...); err != nil {
 		return err
 	}
 	var ts, ps []float64
 	for _, wl := range wls {
-		st, err := r.speedup(wl, sim.SchemeTableTMC)
-		if err != nil {
-			return err
-		}
-		sp, err := r.speedup(wl, sim.SchemePTMC)
-		if err != nil {
-			return err
-		}
+		st, sp := r.speedup(wl, sim.SchemeTableTMC), r.speedup(wl, sim.SchemePTMC)
 		ts = append(ts, st)
 		ps = append(ps, sp)
 		fmt.Fprintf(r.Out, "%-14s %10.3f %10.3f\n", wl, st, sp)
@@ -189,9 +162,9 @@ func (r *Runner) Figure12() error {
 	return nil
 }
 
-func (r *Runner) figure12Set() []string {
-	wls := append(append([]string{}, r.Opts.spec()...), r.Opts.graph()...)
-	return append(wls, r.Opts.mixes()...)
+// specGraphMix is every suite's workloads: SPEC, then GAP, then mixes.
+func (r *Runner) specGraphMix() []string {
+	return append(r.specGraph(), r.Opts.mixes()...)
 }
 
 // Figure14 reproduces PTMC's bandwidth breakdown: data, clean-evict +
@@ -201,19 +174,13 @@ func (r *Runner) figure12Set() []string {
 func (r *Runner) Figure14() error {
 	r.header("Figure 14: bandwidth of PTMC, normalized to uncompressed")
 	fmt.Fprintf(r.Out, "%-14s %8s %10s %10s %8s\n", "workload", "data", "clean+inv", "mispredict", "total")
-	wls := append(append([]string{}, r.Opts.spec()...), r.Opts.graph()...)
-	if err := r.Prefetch(jobsFor(wls, sim.SchemeUncompressed, sim.SchemePTMC)...); err != nil {
+	wls := r.specGraph()
+	if err := r.Run(jobsFor(wls, sim.SchemeUncompressed, sim.SchemePTMC)...); err != nil {
 		return err
 	}
 	for _, wl := range wls {
-		base, err := r.Result(wl, sim.SchemeUncompressed, "", nil)
-		if err != nil {
-			return err
-		}
-		pt, err := r.Result(wl, sim.SchemePTMC, "", nil)
-		if err != nil {
-			return err
-		}
+		base := r.Result(wl, sim.SchemeUncompressed, "")
+		pt := r.Result(wl, sim.SchemePTMC, "")
 		norm := float64(base.Mem.Total())
 		data := float64(pt.Mem.DemandReads+pt.Mem.DirtyWrites) / norm
 		maint := float64(pt.Mem.CleanCompIntoW+pt.Mem.Invalidates) / norm
@@ -232,21 +199,17 @@ func (r *Runner) Figure15() error {
 	r.header("Figure 15: speedup of TMC, Static-PTMC, Dynamic-PTMC, Ideal")
 	fmt.Fprintf(r.Out, "%-14s %10s %10s %12s %10s\n",
 		"workload", "table-tmc", "ptmc", "dynamic-ptmc", "ideal")
-	wls := r.figure12Set()
+	wls := r.specGraphMix()
 	per := map[string][]float64{}
 	schemes := []string{sim.SchemeTableTMC, sim.SchemePTMC, sim.SchemeDynamicPTMC, sim.SchemeIdeal}
-	if err := r.Prefetch(jobsFor(wls, append([]string{sim.SchemeUncompressed}, schemes...)...)...); err != nil {
+	if err := r.Run(jobsFor(wls, append([]string{sim.SchemeUncompressed}, schemes...)...)...); err != nil {
 		return err
 	}
 	for _, wl := range wls {
 		row := make([]float64, len(schemes))
 		for i, sch := range schemes {
-			s, err := r.speedup(wl, sch)
-			if err != nil {
-				return err
-			}
-			row[i] = s
-			per[sch] = append(per[sch], s)
+			row[i] = r.speedup(wl, sch)
+			per[sch] = append(per[sch], row[i])
 		}
 		fmt.Fprintf(r.Out, "%-14s %10.3f %10.3f %12.3f %10.3f  %s\n",
 			wl, row[0], row[1], row[2], row[3], bar(row[2]))
@@ -262,16 +225,12 @@ func (r *Runner) Figure15() error {
 // is flat at 1.0 on the left and rises to ~1.7 on the right.
 func (r *Runner) Figure17() error {
 	r.header("Figure 17: Dynamic-PTMC speedup across workloads, sorted")
-	if err := r.Prefetch(jobsFor(r.Opts.all(), sim.SchemeUncompressed, sim.SchemeDynamicPTMC)...); err != nil {
+	if err := r.Run(jobsFor(r.Opts.all(), sim.SchemeUncompressed, sim.SchemeDynamicPTMC)...); err != nil {
 		return err
 	}
 	var vs []float64
 	for _, wl := range r.Opts.all() {
-		s, err := r.speedup(wl, sim.SchemeDynamicPTMC)
-		if err != nil {
-			return err
-		}
-		vs = append(vs, s)
+		vs = append(vs, r.speedup(wl, sim.SchemeDynamicPTMC))
 	}
 	sorted := sortedCopy(vs)
 	for i, v := range sorted {
@@ -289,19 +248,12 @@ func (r *Runner) Figure18() error {
 	r.header("Figure 18: Dynamic-PTMC speedup / power / energy / EDP (normalized)")
 	fmt.Fprintf(r.Out, "%-14s %8s %8s %8s %8s\n", "workload", "speedup", "power", "energy", "EDP")
 	var sp, pw, en, ed []float64
-	wls := r.figure12Set()
-	if err := r.Prefetch(jobsFor(wls, sim.SchemeUncompressed, sim.SchemeDynamicPTMC)...); err != nil {
+	wls := r.specGraphMix()
+	if err := r.Run(jobsFor(wls, sim.SchemeUncompressed, sim.SchemeDynamicPTMC)...); err != nil {
 		return err
 	}
 	for _, wl := range wls {
-		base, err := r.Result(wl, sim.SchemeUncompressed, "", nil)
-		if err != nil {
-			return err
-		}
-		dyn, err := r.Result(wl, sim.SchemeDynamicPTMC, "", nil)
-		if err != nil {
-			return err
-		}
+		base, dyn := r.Result(wl, sim.SchemeUncompressed, ""), r.Result(wl, sim.SchemeDynamicPTMC, "")
 		s := dyn.WeightedSpeedupOver(base)
 		p := stats.Ratio(dyn.Energy.AvgWatts, base.Energy.AvgWatts)
 		e := stats.Ratio(dyn.Energy.TotalJ, base.Energy.TotalJ)
@@ -322,25 +274,16 @@ func (r *Runner) LLPAblation(sizes []int) error {
 	wl := r.Opts.spec()[0]
 	jobs := []Job{{Workload: wl, Scheme: sim.SchemeUncompressed}}
 	for _, n := range sizes {
-		n := n
 		jobs = append(jobs, Job{Workload: wl, Scheme: sim.SchemePTMC,
 			Variant: fmt.Sprintf("llp%d", n),
 			Mutate:  func(c *sim.Config) { c.LLPEntries = n }})
 	}
-	if err := r.Prefetch(jobs...); err != nil {
+	if err := r.Run(jobs...); err != nil {
 		return err
 	}
-	base, err := r.Result(wl, sim.SchemeUncompressed, "", nil)
-	if err != nil {
-		return err
-	}
+	base := r.Result(wl, sim.SchemeUncompressed, "")
 	for _, n := range sizes {
-		n := n
-		res, err := r.Result(wl, sim.SchemePTMC, fmt.Sprintf("llp%d", n),
-			func(c *sim.Config) { c.LLPEntries = n })
-		if err != nil {
-			return err
-		}
+		res := r.Result(wl, sim.SchemePTMC, fmt.Sprintf("llp%d", n))
 		fmt.Fprintf(r.Out, "%8d %9.1f%% %10.3f\n",
 			n, 100*res.LLPAccuracy, res.WeightedSpeedupOver(base))
 	}
@@ -352,7 +295,7 @@ func (r *Runner) LLPAblation(sizes []int) error {
 func (r *Runner) MarkerWidthNote(memGB int) {
 	r.header("Marker width: expected resident collisions")
 	lines := float64(uint64(memGB) << 30 / 64)
-	for _, bytes := range []int{4, 5} {
+	for _, bytes := range []int{core.MarkerBytes, core.MarkerBytes + 1} {
 		p := 1.0
 		for i := 0; i < bytes; i++ {
 			p /= 256
@@ -360,7 +303,6 @@ func (r *Runner) MarkerWidthNote(memGB int) {
 		fmt.Fprintf(r.Out, "%dB marker: %.3g expected colliding lines in %d GB\n",
 			bytes, lines*p, memGB)
 	}
-	_ = core.MarkerBytes
 }
 
 // RelatedWork compares the prior TMC implementations the paper discusses
@@ -369,25 +311,16 @@ func (r *Runner) MarkerWidthNote(memGB int) {
 func (r *Runner) RelatedWork() error {
 	r.header("Related work: MemZip vs Table-TMC vs Dynamic-PTMC")
 	fmt.Fprintf(r.Out, "%-14s %8s %10s %12s\n", "workload", "memzip", "table-tmc", "dynamic-ptmc")
-	wls := append(append([]string{}, r.Opts.spec()...), r.Opts.graph()...)
-	if err := r.Prefetch(jobsFor(wls, sim.SchemeUncompressed, sim.SchemeMemZip,
+	wls := r.specGraph()
+	if err := r.Run(jobsFor(wls, sim.SchemeUncompressed, sim.SchemeMemZip,
 		sim.SchemeTableTMC, sim.SchemeDynamicPTMC)...); err != nil {
 		return err
 	}
 	var mz, tt, dp []float64
 	for _, wl := range wls {
-		a, err := r.speedup(wl, sim.SchemeMemZip)
-		if err != nil {
-			return err
-		}
-		b, err := r.speedup(wl, sim.SchemeTableTMC)
-		if err != nil {
-			return err
-		}
-		c, err := r.speedup(wl, sim.SchemeDynamicPTMC)
-		if err != nil {
-			return err
-		}
+		a := r.speedup(wl, sim.SchemeMemZip)
+		b := r.speedup(wl, sim.SchemeTableTMC)
+		c := r.speedup(wl, sim.SchemeDynamicPTMC)
 		mz, tt, dp = append(mz, a), append(tt, b), append(dp, c)
 		fmt.Fprintf(r.Out, "%-14s %8.3f %10.3f %12.3f\n", wl, a, b, c)
 	}

@@ -5,9 +5,9 @@
 // (who wins, rough factors, crossovers) are the reproduction target, not
 // absolute numbers — see EXPERIMENTS.md.
 //
-// The Runner caches simulation results by (workload, scheme, variant), so
-// experiments that share runs (most share the uncompressed baseline) pay
-// for them once per process.
+// Every artifact is one pass: it declares its simulations once as a
+// []Job, runs them with Runner.Run, and formats its rows from the
+// Runner's memo.
 package paper
 
 import (
@@ -16,7 +16,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 
 	"ptmc/internal/exec"
 	"ptmc/internal/sim"
@@ -113,43 +112,32 @@ func (o *Options) all() []string {
 	return workload.Names()
 }
 
-// Runner executes experiments against a shared, goroutine-safe result
-// cache. Simulations fan out over a bounded worker pool (see Prefetch);
-// concurrent requests for the same (workload, scheme, variant) key are
-// singleflight-deduplicated so each simulation runs exactly once per
-// process, however many artifacts or goroutines ask for it.
+// Runner runs the experiments and memoizes their simulation results by
+// (workload, scheme, variant), so artifacts that share runs (most share
+// the uncompressed baseline) pay for them once per Runner. Each artifact
+// declares its jobs once, hands them to Run, and then formats its rows
+// from the memo through Result. A Runner is not goroutine-safe: artifacts
+// run one after another, and only Run fans out.
 type Runner struct {
-	Opts  Options
-	Out   io.Writer
-	pool  *exec.Pool
-	cache *exec.Cache[*sim.Result]
-	outMu sync.Mutex // serializes progress lines from concurrent callers
+	Opts Options
+	Out  io.Writer
+	pool *exec.Pool
+	memo map[string]*sim.Result
 }
 
 // NewRunner builds a Runner writing human-readable reports to out, running
-// up to GOMAXPROCS simulations concurrently.
-func NewRunner(opts Options, out io.Writer) *Runner {
-	return NewParallelRunner(opts, out, 0)
+// up to parallel simulations at once (<= 0 selects runtime.GOMAXPROCS(0)).
+// Report bytes are identical at any worker count.
+func NewRunner(opts Options, out io.Writer, parallel int) *Runner {
+	return &Runner{Opts: opts, Out: out, pool: exec.NewPool(parallel), memo: map[string]*sim.Result{}}
 }
-
-// NewParallelRunner bounds concurrent simulations to parallel workers
-// (<= 0 selects runtime.GOMAXPROCS(0)). Report bytes are identical at any
-// worker count: artifacts submit their full job set up front via Prefetch
-// and then format exclusively from the cache in submission order.
-func NewParallelRunner(opts Options, out io.Writer, parallel int) *Runner {
-	pool := exec.NewPool(parallel)
-	return &Runner{Opts: opts, Out: out, pool: pool, cache: exec.NewCache[*sim.Result](pool)}
-}
-
-// Parallelism reports the worker-pool size.
-func (r *Runner) Parallelism() int { return r.pool.Size() }
 
 // Pool exposes the runner's worker pool; its queue-wait and run-time
 // histograms summarize how the simulation fan-out scheduled after a run
 // (cmd/paperbench -poolstats).
 func (r *Runner) Pool() *exec.Pool { return r.pool }
 
-// Job names one simulation: the (workload, scheme, variant) cache key plus
+// Job names one simulation: the (workload, scheme, variant) memo key plus
 // the config mutation the variant implies. Mutate may be nil.
 type Job struct {
 	Workload string
@@ -187,128 +175,87 @@ func (r *Runner) config(wl, scheme string) sim.Config {
 	return cfg
 }
 
-// run executes (or recalls) one job through the deduplicated cache. ran
-// reports whether this call performed the simulation.
-func (r *Runner) run(ctx context.Context, j Job) (res *sim.Result, ran bool, err error) {
-	return r.cache.Do(ctx, j.key(), 0, func(context.Context) (*sim.Result, error) {
-		cfg := r.config(j.Workload, j.Scheme)
-		if j.Mutate != nil {
-			j.Mutate(&cfg)
-		}
-		res, err := sim.Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s%s: %w", j.Workload, j.Scheme, j.Variant, err)
-		}
-		if res.Mem.IntegrityErrs > 0 {
-			return nil, fmt.Errorf("%s/%s%s: %d integrity errors",
-				j.Workload, j.Scheme, j.Variant, res.Mem.IntegrityErrs)
-		}
-		return res, nil
-	})
-}
-
-// printRan emits one progress line (under the output lock: Result may be
-// called from many goroutines).
-func (r *Runner) printRan(res *sim.Result) {
-	if r.Opts.Silent {
-		return
+// simulate runs one job. It calls sim.Run, which does not watch for
+// cancellation, so a job that has started always finishes.
+func (r *Runner) simulate(j Job) (*sim.Result, error) {
+	cfg := r.config(j.Workload, j.Scheme)
+	if j.Mutate != nil {
+		j.Mutate(&cfg)
 	}
-	r.outMu.Lock()
-	fmt.Fprintf(r.Out, "    [ran] %v\n", res)
-	r.outMu.Unlock()
-}
-
-// Result runs (or recalls) one simulation. variant distinguishes modified
-// configs (e.g. channel sweeps); mutate may adjust the config before the
-// run. Result is goroutine-safe and deduplicates concurrent calls for the
-// same key.
-func (r *Runner) Result(wl, scheme, variant string, mutate func(*sim.Config)) (*sim.Result, error) {
-	res, ran, err := r.run(context.Background(), Job{wl, scheme, variant, mutate})
+	res, err := sim.Run(cfg)
+	if err == nil && res.Mem.IntegrityErrs > 0 {
+		err = fmt.Errorf("%d integrity errors", res.Mem.IntegrityErrs)
+	}
 	if err != nil {
-		return nil, err
-	}
-	if ran {
-		r.printRan(res)
+		return nil, fmt.Errorf("%s/%s%s: %w", j.Workload, j.Scheme, j.Variant, err)
 	}
 	return res, nil
 }
 
-// Prefetch fans jobs out over the worker pool and blocks until every job
-// has completed or one has failed (failure cancels jobs still waiting for
-// a worker; running simulations finish and populate the cache). Duplicate
-// keys collapse. Progress lines print in submission order after the batch
-// settles — never in completion order — so the rendered bytes are
-// identical whether the pool has 1 worker or 64. The returned error is
-// the earliest-submitted failure among the jobs that ran; when several
-// jobs fail close together, which of them reached a worker first (and is
-// therefore reported) can vary with the worker count.
-func (r *Runner) Prefetch(jobs ...Job) error {
-	uniq := make([]Job, 0, len(jobs))
-	seen := make(map[string]bool, len(jobs))
+// Run simulates every job whose key is not yet in the memo, over the
+// worker pool; duplicate keys collapse. Pool.ForEach admits jobs in
+// declaration order and stops admitting after the first failure, and a
+// started job always finishes, so the returned error is the
+// earliest-declared failure at any worker count. After the batch settles,
+// each success enters the memo and its progress line prints, in
+// declaration order — never in completion order — so the rendered bytes
+// are identical whether the pool has 1 worker or 64.
+func (r *Runner) Run(jobs ...Job) error {
+	var todo []Job
+	seen := map[string]bool{}
 	for _, j := range jobs {
-		if !seen[j.key()] {
-			seen[j.key()] = true
-			uniq = append(uniq, j)
+		k := j.key()
+		if r.memo[k] == nil && !seen[k] {
+			seen[k] = true
+			todo = append(todo, j)
 		}
 	}
-
-	type outcome struct {
-		res *sim.Result
-		ran bool
-		err error
-	}
-	outs := make([]outcome, len(uniq))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
-	for i, j := range uniq {
-		wg.Add(1)
-		go func(i int, j Job) {
-			defer wg.Done()
-			res, ran, err := r.run(ctx, j)
-			outs[i] = outcome{res, ran, err}
-			if err != nil {
-				cancel()
-			}
-		}(i, j)
-	}
-	wg.Wait()
-
-	errs := make([]error, len(outs))
-	for i, o := range outs {
-		errs[i] = o.err
-		if o.err == nil && o.ran {
-			r.printRan(o.res)
+	results := make([]*sim.Result, len(todo))
+	err := r.pool.ForEach(context.Background(), len(todo), func(_ context.Context, i int) (err error) {
+		results[i], err = r.simulate(todo[i])
+		return err
+	})
+	for i, res := range results {
+		if res == nil {
+			continue
+		}
+		r.memo[todo[i].key()] = res
+		if !r.Opts.Silent {
+			fmt.Fprintf(r.Out, "    [ran] %v\n", res)
 		}
 	}
-	return exec.FirstError(errs)
+	return err
+}
+
+// Result returns the memoized result of one job. Every artifact runs its
+// jobs before reading them, so a missing key is a programming error and
+// panics.
+func (r *Runner) Result(wl, scheme, variant string) *sim.Result {
+	res, ok := r.memo[Job{Workload: wl, Scheme: scheme, Variant: variant}.key()]
+	if !ok {
+		panic(fmt.Sprintf("paper: no result for %s/%s%s; Run it first", wl, scheme, variant))
+	}
+	return res
 }
 
 // speedup returns the weighted speedup of scheme over the uncompressed
 // baseline for one workload.
-func (r *Runner) speedup(wl, scheme string) (float64, error) {
-	base, err := r.Result(wl, sim.SchemeUncompressed, "", nil)
-	if err != nil {
-		return 0, err
-	}
-	res, err := r.Result(wl, scheme, "", nil)
-	if err != nil {
-		return 0, err
-	}
-	return res.WeightedSpeedupOver(base), nil
+func (r *Runner) speedup(wl, scheme string) float64 {
+	return r.Result(wl, scheme, "").WeightedSpeedupOver(r.Result(wl, sim.SchemeUncompressed, ""))
 }
 
 // geoMeanSpeedup averages a scheme's speedup over a workload list.
-func (r *Runner) geoMeanSpeedup(wls []string, scheme string) (float64, error) {
-	var vs []float64
-	for _, wl := range wls {
-		s, err := r.speedup(wl, scheme)
-		if err != nil {
-			return 0, err
-		}
-		vs = append(vs, s)
+func (r *Runner) geoMeanSpeedup(wls []string, scheme string) float64 {
+	vs := make([]float64, len(wls))
+	for i, wl := range wls {
+		vs[i] = r.speedup(wl, scheme)
 	}
-	return stats.GeoMean(vs), nil
+	return stats.GeoMean(vs)
+}
+
+// specGraph is the SPEC set followed by the GAP set (most figures' rows).
+func (r *Runner) specGraph() []string {
+	return append(append([]string{}, r.Opts.spec()...), r.Opts.graph()...)
 }
 
 // header prints an experiment banner.

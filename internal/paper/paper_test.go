@@ -2,6 +2,7 @@ package paper
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -23,11 +24,12 @@ func tinyOptions() Options {
 	}
 }
 
-// tinyRunner shares one cached runner across the smoke tests in this file.
+// tinyRunner builds a fresh runner at tinyOptions with the default worker
+// count, writing into the returned buffer.
 func tinyRunner(t *testing.T) (*Runner, *bytes.Buffer) {
 	t.Helper()
 	var buf bytes.Buffer
-	return NewRunner(tinyOptions(), &buf), &buf
+	return NewRunner(tinyOptions(), &buf, 0), &buf
 }
 
 func TestTablesSmoke(t *testing.T) {
@@ -94,18 +96,27 @@ func TestAblationsSmoke(t *testing.T) {
 	}
 }
 
+// TestResultCacheReuses checks the memo: a job already run is not run
+// again by a later Run (no second progress line), and every lookup returns
+// the identical result object.
 func TestResultCacheReuses(t *testing.T) {
-	r, _ := tinyRunner(t)
-	a, err := r.Result("libquantum06", "uncompressed", "", nil)
-	if err != nil {
+	opts := tinyOptions()
+	opts.Silent = false
+	var buf bytes.Buffer
+	r := NewRunner(opts, &buf, 0)
+	job := Job{Workload: "libquantum06", Scheme: "uncompressed"}
+	if err := r.Run(job, job); err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Result("libquantum06", "uncompressed", "", nil)
-	if err != nil {
+	a := r.Result("libquantum06", "uncompressed", "")
+	if err := r.Run(job); err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Error("cache should return the identical result object")
+	if b := r.Result("libquantum06", "uncompressed", ""); a != b {
+		t.Error("memo should return the identical result object")
+	}
+	if n := strings.Count(buf.String(), "[ran]"); n != 1 {
+		t.Errorf("job ran %d times, want 1:\n%s", n, buf.String())
 	}
 }
 
@@ -122,5 +133,32 @@ func TestOptionsDefaultsExpand(t *testing.T) {
 	}
 	if len(o.all()) != 64 {
 		t.Errorf("full population = %d", len(o.all()))
+	}
+}
+
+// TestQuickReportStaticSections guards the committed report in tier 1: the
+// sections that need no simulation, rendered at Quick(), must appear
+// verbatim in paperbench_quick.txt.
+func TestQuickReportStaticSections(t *testing.T) {
+	ref, err := os.ReadFile("../../paperbench_quick.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, section := range []struct {
+		name   string
+		render func(r *Runner) error
+	}{
+		{"Table I", func(r *Runner) error { r.TableI(); return nil }},
+		{"Figure 6", func(r *Runner) error { return r.Figure6() }},
+		{"Table III", func(r *Runner) error { r.TableIII(); return nil }},
+		{"marker width", func(r *Runner) error { r.MarkerWidthNote(16); return nil }},
+	} {
+		var buf bytes.Buffer
+		if err := section.render(NewRunner(Quick(), &buf, 0)); err != nil {
+			t.Fatalf("%s: %v", section.name, err)
+		}
+		if !bytes.Contains(ref, buf.Bytes()) {
+			t.Errorf("%s drifted from paperbench_quick.txt; rendered:\n%s", section.name, buf.Bytes())
+		}
 	}
 }

@@ -4,81 +4,56 @@ import (
 	"bytes"
 	"context"
 	"reflect"
-	"sync"
+	"strings"
 	"testing"
 
 	"ptmc/internal/sim"
 )
 
-// TestResultConcurrent is the -race regression for the Runner cache: eight
-// goroutines hammer Result with overlapping keys; the singleflight cache
-// must hand every caller the same *sim.Result with no data race and run
-// each simulation exactly once.
-func TestResultConcurrent(t *testing.T) {
-	r, _ := tinyRunner(t)
-	keys := []struct{ wl, scheme string }{
-		{"libquantum06", sim.SchemeUncompressed},
-		{"libquantum06", sim.SchemeTableTMC},
-		{"pr-twitter", sim.SchemeUncompressed},
-	}
-	const goroutines = 8
-	got := make([][]*sim.Result, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for _, k := range keys {
-				res, err := r.Result(k.wl, k.scheme, "", nil)
-				if err != nil {
-					t.Errorf("goroutine %d: %v", g, err)
-					return
-				}
-				got[g] = append(got[g], res)
-			}
-		}(g)
-	}
-	wg.Wait()
-	for g := 1; g < goroutines; g++ {
-		for i := range keys {
-			if len(got[g]) <= i || len(got[0]) <= i {
-				continue // an earlier error already failed the test
-			}
-			if got[g][i] != got[0][i] {
-				t.Errorf("goroutine %d key %d: distinct *Result pointers — cache deduplication broke", g, i)
-			}
-		}
-	}
-}
-
-// render runs one artifact at a given worker count and returns the bytes.
-func render(t *testing.T, parallel int, artifact func(r *Runner) error) []byte {
+// renderAll renders every artifact in paperbench order on one runner with
+// the given worker count, progress lines included, and returns the bytes.
+func renderAll(t *testing.T, parallel int) []byte {
 	t.Helper()
+	opts := tinyOptions()
+	opts.Silent = false
 	var buf bytes.Buffer
-	r := NewParallelRunner(tinyOptions(), &buf, parallel)
-	if err := artifact(r); err != nil {
-		t.Fatal(err)
+	r := NewRunner(opts, &buf, parallel)
+	for _, artifact := range []struct {
+		name string
+		run  func() error
+	}{
+		{"TableII", r.TableII},
+		{"Figure4", r.Figure4},
+		{"Figure5", r.Figure5},
+		{"Figure6", r.Figure6},
+		{"Figure9", r.Figure9},
+		{"Figure12", r.Figure12},
+		{"Figure14", r.Figure14},
+		{"Figure15", r.Figure15},
+		{"Figure17", r.Figure17},
+		{"Figure18", r.Figure18},
+		{"TableIV", r.TableIV},
+		{"TableV", r.TableV},
+		{"TableVI", r.TableVI},
+		{"RelatedWork", r.RelatedWork},
+		{"LLPAblation", func() error { return r.LLPAblation([]int{64, 256, 512, 2048}) }},
+	} {
+		if err := artifact.run(); err != nil {
+			t.Fatalf("%s at %d workers: %v", artifact.name, parallel, err)
+		}
 	}
 	return buf.Bytes()
 }
 
-// TestParallelDeterminism is the byte-identity guarantee: the same figure
-// rendered with 1 worker and 8 workers must produce identical bytes, and a
-// CompareParallel sweep must produce deeply equal Result stats.
+// TestParallelDeterminism is the byte-identity guarantee: every simulated
+// artifact rendered with 1 worker and with 8 workers must produce
+// identical bytes, and a CompareParallel sweep must produce deeply equal
+// Result stats.
 func TestParallelDeterminism(t *testing.T) {
-	for _, artifact := range []struct {
-		name string
-		run  func(r *Runner) error
-	}{
-		{"Figure4", func(r *Runner) error { return r.Figure4() }},
-		{"Figure6", func(r *Runner) error { return r.Figure6() }},
-	} {
-		serial := render(t, 1, artifact.run)
-		wide := render(t, 8, artifact.run)
-		if !bytes.Equal(serial, wide) {
-			t.Errorf("%s: -parallel 1 and -parallel 8 render different bytes:\n--- serial ---\n%s\n--- parallel ---\n%s",
-				artifact.name, serial, wide)
-		}
+	serial, wide := renderAll(t, 1), renderAll(t, 8)
+	if !bytes.Equal(serial, wide) {
+		t.Errorf("-parallel 1 and -parallel 8 render different bytes:\n--- serial ---\n%s\n--- parallel ---\n%s",
+			serial, wide)
 	}
 
 	cfg := sim.Default()
@@ -89,31 +64,31 @@ func TestParallelDeterminism(t *testing.T) {
 	cfg.Seed = 1
 	cfg.L3Bytes = 1 << 20
 	schemes := []string{sim.SchemeUncompressed, sim.SchemeTableTMC, sim.SchemePTMC}
-	serial, err := sim.CompareParallel(context.Background(), 1, cfg, schemes...)
+	serialRes, err := sim.CompareParallel(context.Background(), 1, cfg, schemes...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := sim.CompareParallel(context.Background(), 8, cfg, schemes...)
+	wideRes, err := sim.CompareParallel(context.Background(), 8, cfg, schemes...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, sch := range schemes {
-		if !reflect.DeepEqual(serial[sch], wide[sch]) {
+		if !reflect.DeepEqual(serialRes[sch], wideRes[sch]) {
 			t.Errorf("CompareParallel %s: stats differ between 1 and 8 workers\nserial: %+v\nwide:   %+v",
-				sch, serial[sch], wide[sch])
+				sch, serialRes[sch], wideRes[sch])
 		}
 	}
 }
 
-// TestPrefetchProgressOrder checks the non-Silent path: progress lines
-// print in submission order even when completions race.
-func TestPrefetchProgressOrder(t *testing.T) {
+// TestRunProgressOrder checks the non-Silent path: progress lines print in
+// declaration order even when completions race.
+func TestRunProgressOrder(t *testing.T) {
 	opts := tinyOptions()
 	opts.Silent = false
 	run := func(parallel int) []byte {
 		var buf bytes.Buffer
-		r := NewParallelRunner(opts, &buf, parallel)
-		if err := r.Prefetch(jobsFor([]string{"libquantum06", "pr-twitter"},
+		r := NewRunner(opts, &buf, parallel)
+		if err := r.Run(jobsFor([]string{"libquantum06", "pr-twitter"},
 			sim.SchemeUncompressed, sim.SchemeTableTMC)...); err != nil {
 			t.Fatal(err)
 		}
@@ -124,5 +99,19 @@ func TestPrefetchProgressOrder(t *testing.T) {
 	if !bytes.Equal(serial, wide) {
 		t.Errorf("progress lines differ between 1 and 8 workers:\n--- serial ---\n%s\n--- parallel ---\n%s",
 			serial, wide)
+	}
+}
+
+// TestRunErrorDeterministic checks that Run reports the earliest-declared
+// failure whichever job fails first on the pool.
+func TestRunErrorDeterministic(t *testing.T) {
+	jobs := jobsFor([]string{"nope-a", "nope-b"}, sim.SchemeUncompressed)
+	for _, parallel := range []int{1, 8} {
+		for i := 0; i < 20; i++ {
+			err := NewRunner(tinyOptions(), &bytes.Buffer{}, parallel).Run(jobs...)
+			if err == nil || !strings.Contains(err.Error(), "nope-a") {
+				t.Fatalf("%d workers, run %d: err = %v, want the nope-a failure", parallel, i, err)
+			}
+		}
 	}
 }

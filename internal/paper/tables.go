@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ptmc/internal/core"
+	"ptmc/internal/memctrl"
 	"ptmc/internal/sim"
 	"ptmc/internal/stats"
 )
@@ -17,7 +18,7 @@ func (r *Runner) TableI() {
 	fmt.Fprintf(r.Out, "L1 / L2 (private) %d KB %d-way / %d KB %d-way\n",
 		cfg.L1Bytes>>10, cfg.L1Assoc, cfg.L2Bytes>>10, cfg.L2Assoc)
 	fmt.Fprintf(r.Out, "Last-Level Cache  %d MB, %d-way\n", cfg.L3Bytes>>20, cfg.L3Assoc)
-	fmt.Fprintf(r.Out, "Compression       FPC + BDI hybrid, %d-cycle decompression\n", 5)
+	fmt.Fprintf(r.Out, "Compression       FPC + BDI hybrid, %d-cycle decompression\n", memctrl.DecompressCycles)
 	fmt.Fprintf(r.Out, "Main Memory       %d GB\n", cfg.MemBytes>>30)
 	fmt.Fprintf(r.Out, "Bus Frequency     800 MHz (DDR 1.6 GT/s), %d channels, %d ranks, %d banks\n",
 		cfg.DRAM.Channels, cfg.DRAM.RanksPerChannel, cfg.DRAM.BanksPerRank)
@@ -31,15 +32,12 @@ func (r *Runner) TableII() error {
 	r.header("Table II: workload characteristics (measured)")
 	fmt.Fprintf(r.Out, "%-10s %-14s %8s %12s %12s\n",
 		"suite", "workload", "L3 MPKI", "decl.footpr", "touched")
-	wls := append(append([]string{}, r.Opts.spec()...), r.Opts.graph()...)
-	if err := r.Prefetch(jobsFor(wls, sim.SchemeUncompressed)...); err != nil {
+	wls := r.specGraph()
+	if err := r.Run(jobsFor(wls, sim.SchemeUncompressed)...); err != nil {
 		return err
 	}
 	for _, wl := range wls {
-		res, err := r.Result(wl, sim.SchemeUncompressed, "", nil)
-		if err != nil {
-			return err
-		}
+		res := r.Result(wl, sim.SchemeUncompressed, "")
 		w, _ := lookupWorkload(wl)
 		fmt.Fprintf(r.Out, "%-10s %-14s %8.1f %9d MB %9d MB\n",
 			w.Suite, wl, res.MPKI, w.FootprintBytes>>20, res.FootprintBytes>>20)
@@ -80,9 +78,9 @@ func (r *Runner) TableIII() {
 func (r *Runner) TableIV() error {
 	r.header("Table IV: sensitivity to number of memory channels")
 	fmt.Fprintf(r.Out, "%10s %12s\n", "channels", "avg speedup")
+	channels := []int{1, 2, 4}
 	var jobs []Job
-	for _, ch := range []int{1, 2, 4} {
-		ch := ch
+	for _, ch := range channels {
 		variant := fmt.Sprintf("ch%d", ch)
 		mutate := func(c *sim.Config) { c.DRAM.Channels = ch }
 		for _, wl := range r.Opts.spec() {
@@ -91,23 +89,15 @@ func (r *Runner) TableIV() error {
 				Job{Workload: wl, Scheme: sim.SchemeDynamicPTMC, Variant: variant, Mutate: mutate})
 		}
 	}
-	if err := r.Prefetch(jobs...); err != nil {
+	if err := r.Run(jobs...); err != nil {
 		return err
 	}
-	for _, ch := range []int{1, 2, 4} {
-		ch := ch
+	for _, ch := range channels {
+		variant := fmt.Sprintf("ch%d", ch)
 		var vs []float64
 		for _, wl := range r.Opts.spec() {
-			variant := fmt.Sprintf("ch%d", ch)
-			mutate := func(c *sim.Config) { c.DRAM.Channels = ch }
-			base, err := r.Result(wl, sim.SchemeUncompressed, variant, mutate)
-			if err != nil {
-				return err
-			}
-			dyn, err := r.Result(wl, sim.SchemeDynamicPTMC, variant, mutate)
-			if err != nil {
-				return err
-			}
+			base := r.Result(wl, sim.SchemeUncompressed, variant)
+			dyn := r.Result(wl, sim.SchemeDynamicPTMC, variant)
 			vs = append(vs, dyn.WeightedSpeedupOver(base))
 		}
 		fmt.Fprintf(r.Out, "%10d %11.1f%%\n", ch, 100*(stats.GeoMean(vs)-1))
@@ -126,35 +116,16 @@ func (r *Runner) TableV() error {
 	// free-served column reports that fraction — the modern-MLP
 	// equivalent of the paper's L3-hit-rate delta.
 	fmt.Fprintf(r.Out, "%-8s %10s %14s %12s\n", "suite", "baseline", "dynamic-ptmc", "free-served")
-	suites := []struct {
-		name string
-		wls  []string
-	}{
-		{"SPEC", r.Opts.spec()},
-		{"GAP", r.Opts.graph()},
-		{"MIX", r.Opts.mixes()},
-	}
-	var jobs []Job
-	for _, s := range suites {
-		jobs = append(jobs, jobsFor(s.wls, sim.SchemeUncompressed, sim.SchemeDynamicPTMC)...)
-	}
-	if err := r.Prefetch(jobs...); err != nil {
+	if err := r.Run(jobsFor(r.specGraphMix(), sim.SchemeUncompressed, sim.SchemeDynamicPTMC)...); err != nil {
 		return err
 	}
-	for _, s := range suites {
+	for _, s := range r.suites() {
 		if len(s.wls) == 0 {
 			continue
 		}
 		var b, d, free float64
 		for _, wl := range s.wls {
-			base, err := r.Result(wl, sim.SchemeUncompressed, "", nil)
-			if err != nil {
-				return err
-			}
-			dyn, err := r.Result(wl, sim.SchemeDynamicPTMC, "", nil)
-			if err != nil {
-				return err
-			}
+			base, dyn := r.Result(wl, sim.SchemeUncompressed, ""), r.Result(wl, sim.SchemeDynamicPTMC, "")
 			b += base.L3.HitRate()
 			d += dyn.L3.HitRate()
 			served := float64(dyn.Mem.CoalescedReads)
@@ -173,35 +144,27 @@ func (r *Runner) TableV() error {
 func (r *Runner) TableVI() error {
 	r.header("Table VI: next-line prefetch vs Dynamic-PTMC (avg speedup)")
 	fmt.Fprintf(r.Out, "%-8s %12s %14s\n", "suite", "next-line", "dynamic-ptmc")
-	suites := []struct {
-		name string
-		wls  []string
-	}{
-		{"SPEC", r.Opts.spec()},
-		{"GAP", r.Opts.graph()},
-		{"MIX", r.Opts.mixes()},
-	}
-	var jobs []Job
-	for _, s := range suites {
-		jobs = append(jobs, jobsFor(s.wls,
-			sim.SchemeUncompressed, sim.SchemeNextLine, sim.SchemeDynamicPTMC)...)
-	}
-	if err := r.Prefetch(jobs...); err != nil {
+	if err := r.Run(jobsFor(r.specGraphMix(),
+		sim.SchemeUncompressed, sim.SchemeNextLine, sim.SchemeDynamicPTMC)...); err != nil {
 		return err
 	}
-	for _, s := range suites {
+	for _, s := range r.suites() {
 		if len(s.wls) == 0 {
 			continue
 		}
-		nl, err := r.geoMeanSpeedup(s.wls, sim.SchemeNextLine)
-		if err != nil {
-			return err
-		}
-		dp, err := r.geoMeanSpeedup(s.wls, sim.SchemeDynamicPTMC)
-		if err != nil {
-			return err
-		}
+		nl, dp := r.geoMeanSpeedup(s.wls, sim.SchemeNextLine), r.geoMeanSpeedup(s.wls, sim.SchemeDynamicPTMC)
 		fmt.Fprintf(r.Out, "%-8s %+11.1f%% %+13.1f%%\n", s.name, 100*(nl-1), 100*(dp-1))
 	}
 	return nil
+}
+
+// suite is one workload class of Tables V and VI.
+type suite struct {
+	name string
+	wls  []string
+}
+
+// suites splits specGraphMix into its classes, in the same order.
+func (r *Runner) suites() []suite {
+	return []suite{{"SPEC", r.Opts.spec()}, {"GAP", r.Opts.graph()}, {"MIX", r.Opts.mixes()}}
 }

@@ -14,6 +14,7 @@ import (
 	"ptmc/internal/energy"
 	"ptmc/internal/mem"
 	"ptmc/internal/memctrl"
+	"ptmc/internal/metadata"
 	"ptmc/internal/obs"
 	"ptmc/internal/vm"
 	"ptmc/internal/workload"
@@ -23,6 +24,13 @@ import (
 // prefetches (PTMC's Dynamic benefit events).
 type prefetchObserver interface {
 	OnDemandHit(core int, a mem.LineAddr)
+}
+
+// metaCached is implemented by schemes that look up per-line metadata
+// through a metadata cache (table-tmc, memzip): its hit rate is reported
+// and its counters reset after warmup.
+type metaCached interface {
+	Meta() *metadata.Table
 }
 
 // waiter is one access merged into an outstanding fill (MSHR semantics).
@@ -361,7 +369,7 @@ func (s *Simulator) registerMetrics() {
 			}
 		}
 	}
-	if t, ok := s.ctrl.(*memctrl.TableTMC); ok {
+	if t, ok := s.ctrl.(metaCached); ok {
 		m := t.Meta()
 		counter("mcache.lookups", func() uint64 { return m.Lookups })
 		counter("mcache.hits", func() uint64 { return m.Hits })
@@ -659,7 +667,7 @@ func (s *Simulator) resetStats() {
 		p.LLP().Predictions = 0
 		p.LLP().Correct = 0
 	}
-	if t, ok := s.ctrl.(*memctrl.TableTMC); ok {
+	if t, ok := s.ctrl.(metaCached); ok {
 		t.Meta().Lookups = 0
 		t.Meta().Hits = 0
 		t.Meta().Misses = 0
@@ -730,7 +738,7 @@ func (s *Simulator) collect() *Result {
 		r.LLPAccuracy = p.LLP().Accuracy()
 		r.HasLLP = true
 	}
-	if t, ok := s.ctrl.(*memctrl.TableTMC); ok {
+	if t, ok := s.ctrl.(metaCached); ok {
 		r.MCacheHitRate = t.Meta().HitRate()
 		r.HasMCache = true
 	}

@@ -175,6 +175,9 @@ func TestTableTMCPaysMetadataBandwidth(t *testing.T) {
 	if !r.HasMCache {
 		t.Error("metadata hit rate not reported")
 	}
+	if z := runQuick(t, "mcf06", SchemeMemZip); !z.HasMCache {
+		t.Error("memzip's burst-length metadata cache hit rate not reported")
+	}
 	p := runQuick(t, "mcf06", SchemePTMC)
 	if p.Mem.MetadataReads != 0 {
 		t.Error("PTMC must not touch a metadata table")
